@@ -4,9 +4,10 @@
 
 Runs whole passes over the workload's operations, with the program's
 `lru_cache`s cleared before each pass, until the passes have taken S seconds
-(at least one pass).  Outputs are checked after the passes, untimed.  The last
-line of stdout is one JSON object with `correct`, `attempted`, `failed` and
-`metrics`: the end-to-end metrics with `--trace 0`, the per-layer metrics with
+(at least three passes).  Times are medians over the passes, operation by
+operation.  Outputs are checked after the passes, untimed.  The last line of
+stdout is one JSON object with `correct`, `attempted`, `failed` and `metrics`:
+the end-to-end metrics with `--trace 0`, the per-layer metrics with
 `--trace 1`.  A traced run also times one untraced pass, reports the tracing
 overhead on stderr and writes its spans to bench/out/.
 """
@@ -32,6 +33,17 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 SETUP_PROBES = 5
+MIN_PASSES = 3  # an untraced run times at least this many passes, so medians reject a disturbed one
+# The speed of a shared machine drifts by 10-50% over seconds to tens of
+# seconds, and the program's work with it.  Times are reported at the speed at
+# which reference_work() takes REFERENCE_WORK_S, its typical time on the shared
+# 2-core Xeon (2.1 GHz) container the figures in README.md were measured on.
+REFERENCE_WORK_S = 0.005
+# The machine's speed is read from the reference timings next to an operation,
+# up to this many operations before and after it.  Over a run of tens of
+# seconds its phases change (one torus-braid run had passes of 5.3 and 7.1 s),
+# and the median of 21 timings is still steady.
+REFERENCE_WINDOW = 10
 OUT_DIR = HERE / "out"
 
 
@@ -71,8 +83,45 @@ def probe_setup(args) -> float:
     return elapsed
 
 
-def run_pass(ops, caches) -> tuple[list, list[float], float, dict]:
-    """One pass: every operation once, in order.  Returns per-operation
+# Two sparse polynomials in five variables, as dicts from exponent tuples to
+# integer coefficients: the data layout of projqde.ring, but built and
+# multiplied here, so that no change to the program changes the reference work.
+# A product with thousands of terms speeds up and slows down with the machine
+# as the program's large products do; in a fast phase of the machine, one of a
+# thousand terms ran 1.7 times as fast and torus-braid's products 1.3 times.
+_REF_A = {(i, -j, (i * j) % 7, i - j, j % 3): 3 * i - j + 1 for i in range(10) for j in range(6)}
+_REF_B = {(j, i % 4, -i, (i + 2 * j) % 5, i % 2): i * j - 5 for i in range(10) for j in range(6)}
+
+
+def reference_work() -> float:
+    """Seconds taken by a fixed piece of pure-Python work: a product of two
+    sparse polynomials, 3,600 term products into 3,425 terms, written as
+    projqde.ring multiplies.  Timed before every operation, it gives the speed
+    of the machine at that moment (see local_scales)."""
+    t0 = time.perf_counter()
+    tm: dict = {}
+    get = tm.get
+    for e1, c1 in _REF_A.items():
+        for e2, c2 in _REF_B.items():
+            e = tuple(map(int.__add__, e1, e2))
+            tm[e] = get(e, 0) + c1 * c2
+    return time.perf_counter() - t0
+
+
+def local_scales(reference_times: list[float]) -> list[float]:
+    """For the operation timed after each reference timing: REFERENCE_WORK_S
+    over the median of the reference timings up to REFERENCE_WINDOW operations
+    away from it, the factor that brings its time to the reference speed."""
+    w = REFERENCE_WINDOW
+    return [
+        REFERENCE_WORK_S / statistics.median(reference_times[max(0, j - w) : j + w + 1])
+        for j in range(len(reference_times))
+    ]
+
+
+def run_pass(ops, caches, reference_times: list[float]) -> tuple[list, list[float], float, dict]:
+    """One pass: every operation once, in order, each after one timing of the
+    reference work (appended to reference_times).  Returns per-operation
     (output, error), per-operation seconds, the pass's seconds and the state."""
     for c in caches:
         c.cache_clear()
@@ -81,6 +130,7 @@ def run_pass(ops, caches) -> tuple[list, list[float], float, dict]:
     results, times = [], []
     start = time.perf_counter()
     for op in ops:
+        reference_times.append(reference_work())
         t0 = time.perf_counter()
         try:
             out, err = op.run(state), None
@@ -128,22 +178,26 @@ def main(argv=None) -> int:
         tracer = spans.Tracer()
 
     # the first pass is untimed by the tracer and gives the reference outputs
-    reference, op_times, first_wall, ref_state = run_pass(ops, caches)
+    reference_times: list[float] = []
+    reference, first_times, first_wall, ref_state = run_pass(ops, caches, reference_times)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     walls, traced_walls = [first_wall], []
+    pass_times = [first_times]  # untraced passes, seconds per operation
     failures = [0] * len(ops)
     passes = 1
     measured = first_wall
-    while measured < args.seconds or (tracer and not traced_walls):
+    min_passes = 1 if tracer else MIN_PASSES
+    while measured < args.seconds or passes < min_passes or (tracer and not traced_walls):
         if tracer:
             tracer.install()
         try:
-            results, times, wall, _ = run_pass(ops, caches)
+            results, times, wall, _ = run_pass(ops, caches, reference_times)
         finally:
             if tracer:
                 tracer.uninstall()
         (traced_walls if tracer else walls).append(wall)
-        op_times += times
+        if not tracer:
+            pass_times.append(times)
         measured += wall
         passes += 1
         for i, (ref, got) in enumerate(zip(reference, results)):
@@ -187,15 +241,34 @@ def main(argv=None) -> int:
         )
         out_metrics = {k: {"value": v, "unit": units[k]} for k, v in metrics.items()}
     else:
+        from scipy.stats.mstats import hdquantiles
+
+        # Each operation's time at the reference speed (see REFERENCE_WORK_S),
+        # then its median over the passes: a pass disturbed by another
+        # process, or one operation of it, does not move the figures.  The
+        # median over the operations is the Harrell-Davis estimate, a weighted
+        # mean of the order statistics around the middle: the operations'
+        # times have gaps (braid-orbit's jump from 10.8 to 12.6 ms three
+        # places below the middle), and the sample median jumps across them.
+        scales = local_scales(reference_times)
+        scaled = [t * f for t, f in zip((t for ts in pass_times for t in ts), scales)]
+        k = len(ops)
+        op_medians = [statistics.median(scaled[i::k]) for i in range(k)]
         out_metrics = {
             "setup_s": {"value": statistics.median(setup), "unit": "s"},
-            "wall_s": {"value": min(walls), "unit": "s"},
-            "op_s.p50": {"value": statistics.median(op_times), "unit": "s"},
+            "wall_s": {"value": sum(op_medians), "unit": "s"},
+            "op_s.p50": {"value": float(hdquantiles(op_medians, prob=0.5)[0]), "unit": "s"},
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
         }
         print(
-            f"{args.workload}: {passes} passes of {len(ops)} operations; wall_s from the fastest pass; "
-            f"op_s.p50 over {len(op_times)} operations; setup_s median of {len(setup)} probes"
+            f"{args.workload}: {passes} passes of {len(ops)} operations; wall_s the sum and op_s.p50 the Harrell-Davis "
+            f"median of the {len(ops)} per-operation medians over the passes; setup_s median of {len(setup)} probes"
+        )
+        sys.stderr.write(
+            f"reference work: median {statistics.median(reference_times) * 1e3:.4f} ms over "
+            f"{len(reference_times)} timings, time scale {min(scales):.4f}-{max(scales):.4f}; "
+            f"unscaled pass walls: fastest {min(walls):.4f} s, median {statistics.median(walls):.4f} s, "
+            f"slowest {max(walls):.4f} s\n"
         )
     print(json.dumps({
         "correct": correct,
