@@ -31,13 +31,14 @@ tangent bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .ring import (
+    LAMBDA,
     LaurentMatrix,
     LaurentPoly,
     RationalFn,
+    char_poly,
     sym_poly,
     zvars,
 )
@@ -385,6 +386,8 @@ class ExceptionalBasis:
 
     def __init__(self, elements, labels=None, eigen_tags=None, verify: bool = True):
         elements = tuple(elements)
+        if not elements:
+            raise ValueError("an exceptional basis needs at least one element")
         n = elements[0].n
         if len(elements) != n:
             raise ValueError(f"an exceptional basis of rank {n} needs {n} elements")
@@ -606,45 +609,27 @@ def canonical_matrix(gram: LaurentMatrix) -> LaurentMatrix:
     return gram.inverse() * gram.dagger()
 
 
-LAMBDA = "LAM"
-
-
-def _lambda_context(n: int) -> tuple[str, ...]:
-    return (LAMBDA,) + zvars(n)
-
-
 def canonical_char_poly(gram: LaurentMatrix, n: int) -> LaurentPoly:
-    """det(lambda - G^{-1} G†) as a Laurent polynomial in (LAM, Z1..Zn),
-    computed as det(lambda G - G†) / det G."""
-    vs = _lambda_context(n)
-    lam = LaurentPoly.variable(vs, LAMBDA)
-    lifted = gram.map(lambda p: p.with_vars(vs))
-    lifted_dag = gram.dagger().map(lambda p: p.with_vars(vs))
-    m = lifted.map(lambda p: p * lam) - lifted_dag
-    det = m.det()
-    dg = gram.det()
-    c, e = dg.as_unit_monomial()
-    inv = LaurentPoly.monomial(vs, (0,) + tuple(-x for x in e), Fraction(1) / c)
-    return det * inv
+    """det(lambda - G^{-1} G†) as a Laurent polynomial in (LAM, Z1..Zn) for the
+    rank-n Gram matrix G, computed as det(lambda G - G†) / det G."""
+    return char_poly(gram, gram.dagger())
+
+
+def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:
+    """prod_i (lambda - scale Z_i^n) in (LAM, Z1..Zn), expanded through the
+    elementary symmetric functions: sum_j lambda^{n-j} (-scale)^j e_j(Z^n)."""
+    vs = (LAMBDA,) + zvars(n)
+    acc = LaurentPoly.zero(vs)
+    for j in range(n + 1):
+        coeff = ((-scale) ** j * _power_sum(n, j)).with_vars(vs)
+        acc = acc + coeff * LaurentPoly.variable(vs, LAMBDA, n - j)
+    return acc
 
 
 def canonical_spectrum_poly(n: int) -> LaurentPoly:
-    """prod_i (lambda - (-1)^{n-1} Z_i^n / s_n(Z)) expanded via symmetric
-    functions: sum_j (-1)^j lambda^{n-j} s_j(eigenvalues)."""
-    vs = _lambda_context(n)
-    acc = LaurentPoly.zero(vs)
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    for j in range(n + 1):
-        ej = sym_poly("elementary", j, n)
-        ejn = LaurentPoly(
-            zvars(n), {tuple(x * n for x in e): c for e, c in ej.terms.items()}
-        ).with_vars(vs)
-        snj = LaurentPoly.monomial(vs, (0,) + (-j,) * n)
-        coeff = ejn * snj * (sign**j)
-        lam_pow = LaurentPoly.variable(vs, LAMBDA, n - j)
-        term = coeff * lam_pow
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    """prod_i (lambda - (-1)^{n-1} Z_i^n / s_n(Z)), the characteristic
+    polynomial the canonical operator must have."""
+    return spectrum_poly(n, LaurentPoly.monomial(zvars(n), (-1,) * n, (-1) ** (n - 1)))
 
 
 def dioph_residual(gram: LaurentMatrix, n: int) -> LaurentPoly:

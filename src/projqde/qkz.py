@@ -154,6 +154,8 @@ def _matmul(a, b):
 def qkz_operator(i: int, q: complex, z: Sequence[complex], basis: str = "x") -> np.ndarray:
     """Numeric shift-operator matrix at (q, z)."""
     n = len(z)
+    if not 1 <= i <= n:
+        raise ValueError("operator index out of range")
     z = [complex(w) for w in z]
     acc = np.eye(n, dtype=complex)
     for j in range(i - 1, 0, -1):

@@ -22,14 +22,6 @@ def zvars(n: int, prefix: str = "Z") -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, n + 1))
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-
-
 def _norm_coeff(c):
     """Exact coefficients are stored as int when possible, Fraction otherwise;
     plain integer arithmetic is an order of magnitude faster."""
@@ -97,7 +89,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, vars: Sequence[str], c) -> "LaurentPoly":
-        return cls(vars, {(0,) * len(tuple(vars)): _coerce(c)})
+        return cls(vars, {(0,) * len(tuple(vars)): c})
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "LaurentPoly":
@@ -114,7 +106,7 @@ class LaurentPoly:
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], c=1) -> "LaurentPoly":
-        return cls(vars, {tuple(exps): _coerce(c)})
+        return cls(vars, {tuple(exps): c})
 
     # -- helpers -------------------------------------------------------------
 
@@ -412,16 +404,6 @@ def unit_pow(p: LaurentPoly, k: int) -> LaurentPoly:
     return LaurentPoly.monomial(p.vars, tuple(x * k for x in e), _pow_coeff(c, k))
 
 
-def lp_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact product (zero terms pruned); requires a shared variable context."""
-    return f * g
-
-
-def lp_dual(f: LaurentPoly) -> LaurentPoly:
-    """Exponent-negating involution f(v) -> f(v^{-1})."""
-    return f.dual()
-
-
 # -- symmetric functions and Stirling numbers ----------------------------------
 
 
@@ -622,10 +604,6 @@ class LaurentMatrix:
         z = LaurentPoly.zero(vars)
         return cls([[z for _ in range(cols)] for _ in range(rows)])
 
-    @classmethod
-    def from_rows(cls, rows) -> "LaurentMatrix":
-        return cls(rows)
-
     def __getitem__(self, ij: tuple[int, int]) -> LaurentPoly:
         i, j = ij
         return self.entries[i][j]
@@ -741,29 +719,20 @@ class LaurentMatrix:
         return minor(tuple(range(n)))
 
     def inverse(self) -> "LaurentMatrix":
-        """Exact inverse over the Laurent ring.
+        """Exact inverse over the Laurent ring: the adjugate (cofactors by
+        `det`) times the inverse of the determinant.
 
-        Unitriangular matrices are inverted by a Neumann series; otherwise the
-        determinant must be a unit monomial and the adjugate is used.
+        The matrix is invertible over the Laurent ring exactly when its
+        determinant is a unit monomial, as it is for every unitriangular
+        matrix; otherwise ValueError is raised.
         """
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        if self.is_upper_unitriangular() or self.is_lower_unitriangular():
-            # (1 + N)^{-1} = sum_k (-N)^k with N strictly triangular, N^n = 0.
-            ident = LaurentMatrix.identity(n, self.vars)
-            neg_nil = (self - ident).map(lambda p: -p)
-            acc = ident
-            term = ident
-            for _ in range(n - 1):
-                term = term * neg_nil
-                acc = acc + term
-            return acc
         d = self.det()
         if not d.is_unit_monomial():
             raise ValueError("matrix is not invertible over the Laurent ring (det not a unit)")
-        c, e = d.as_unit_monomial()
-        dinv = LaurentPoly.monomial(self.vars, tuple(-x for x in e), Fraction(1) / c)
+        dinv = unit_pow(d, -1)
         adj = []
         for i in range(n):
             row = []
@@ -786,10 +755,26 @@ class LaurentMatrix:
     __repr__ = __str__
 
 
-def mat_dagger(a: LaurentMatrix) -> LaurentMatrix:
-    """Transpose composed with entrywise duality; an involution and an
-    antihomomorphism for products."""
-    return a.dagger()
+LAMBDA = "LAM"  # the eigenvalue variable of characteristic polynomials
+
+
+def char_poly(a: LaurentMatrix, b: LaurentMatrix) -> LaurentPoly:
+    """Characteristic polynomial det(lambda - A^{-1} B) of A^{-1} B, as a
+    Laurent polynomial in (LAM,) + A.vars.
+
+    It is computed as det(lambda A - B) / det A, so A is never inverted; det A
+    must be a unit monomial (ValueError otherwise)."""
+    if not a.rows == a.cols == b.rows == b.cols or a.vars != b.vars:
+        raise ValueError("char_poly needs square matrices of one shape and context")
+    vs = (LAMBDA,) + a.vars
+    lam = LaurentPoly.variable(vs, LAMBDA)
+    pencil = LaurentMatrix(
+        [
+            [lam * x.with_vars(vs) - y.with_vars(vs) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a.entries, b.entries)
+        ]
+    )
+    return pencil.det() * unit_pow(a.det(), -1).with_vars(vs)
 
 
 # -- cyclotomic reduction (exact arithmetic at roots of unity) ---------------------

@@ -29,15 +29,18 @@ from .ktheory import (
     ExceptionalBasis,
     braid_act,
     braid_constants,
+    canonical_char_poly,
     canonical_spectrum_poly,
     gram_matrix,
+    spectrum_poly,
     structured_basis,
 )
 from .qde import BranchContext, elementary_symmetric, system_matrices
-from .qkz import qkz_operator_symbolic
+from .qkz import formal_derivative, qkz_operator_symbolic
 from .ring import (
     LaurentMatrix,
     LaurentPoly,
+    char_poly,
     reduce_root_of_unity,
     sym_poly,
     zvars,
@@ -310,7 +313,7 @@ def gauge_substitution_residual_orders(sol: FormalSolution, order: int) -> list[
     f = LaurentMatrix.zero(n, n, svars)
     for k, fk in enumerate(sol.coeffs):
         f = f + fk.map(lambda p: p.with_vars(svars) * s**-k)
-    fprime = f.map(lambda p: _s_derivative(p, "s"))
+    fprime = f.map(lambda p: formal_derivative(p, "s"))
     lam = sol.level.with_vars(svars)
     umat = LaurentMatrix.zero(n, n, svars)
     rows = [list(r) for r in umat.entries]
@@ -335,19 +338,6 @@ def gauge_substitution_residual_orders(sol: FormalSolution, order: int) -> list[
                     ok = False
         out.append(ok)
     return out
-
-
-def _s_derivative(p: LaurentPoly, name: str) -> LaurentPoly:
-    i = p.vars.index(name)
-    terms = {}
-    for e, c in p.terms.items():
-        k = e[i]
-        if k == 0:
-            continue
-        ne = list(e)
-        ne[i] = k - 1
-        terms[tuple(ne)] = c * k
-    return LaurentPoly(p.vars, terms)
 
 
 def formal_reduce_numeric(n: int, z: Sequence[complex], order: int) -> FormalSolution:
@@ -514,7 +504,7 @@ def gram_stokes_check(sector: SectorId, n: int) -> dict:
     ok_s1 = s1 == j * g.dagger().inverse() * j
     ok_s2 = s2 == j * g * j
     ok_pair = s2 == s1.dagger().inverse()
-    char = _char_poly_via_dagger(s1, n)
+    char = canonical_char_poly(s1, n)
     ok_char = (char - canonical_spectrum_poly(n)).is_zero()
     mono = _formal_monodromy_char_residual(s1, s2, n)
     return {
@@ -530,27 +520,13 @@ def gram_stokes_check(sector: SectorId, n: int) -> dict:
     }
 
 
-def _char_poly_via_dagger(s1: LaurentMatrix, n: int) -> LaurentPoly:
-    from .ktheory import canonical_char_poly
-
-    return canonical_char_poly(s1, n)
-
-
 def _formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int) -> LaurentPoly:
     """det(lambda - (-1)^{n-1} s_n(Z) (S1 S2)^{-1}) - prod_j (lambda - Z_j^n):
     the n-th power of the regular-point monodromy seen at infinity."""
-    vs = ("LAM",) + zvars(n)
-    lam = LaurentPoly.variable(vs, "LAM")
-    prod = (s1 * s2).inverse().map(lambda p: p.with_vars(vs))
-    sign = 1 if (n - 1) % 2 == 0 else -1
-    sn = sym_poly("elementary", n, n).with_vars(vs) * sign
-    m = prod.map(lambda p: p * sn)
-    lam_eye = LaurentMatrix.identity(n, vs).map(lambda p: p * lam)
-    char = (lam_eye - m).det()
-    want = LaurentPoly.one(vs)
-    for i in range(1, n + 1):
-        want = want * (lam - LaurentPoly.variable(vs, f"Z{i}", n))
-    return char - want
+    vs = zvars(n)
+    sn = LaurentPoly.monomial(vs, (1,) * n, (-1) ** (n - 1))
+    char = char_poly(s1 * s2, LaurentMatrix.identity(n, vs) * sn)
+    return char - spectrum_poly(n, LaurentPoly.one(vs))
 
 
 # -- roots of unity --------------------------------------------------------------------------

@@ -98,6 +98,21 @@ def test_bad_usage_exit_2(capsys):
     assert main(["solve-qde", "--n", "2", "--z", "0,1", "--q", "0.1"]) == 2  # resonance
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--n", "0"],
+        ["dioph-check", "--n", "0"],
+        ["qkz", "--n", "2", "--i", "3", "--q", "0.3", "--z", "0.2,0.6"],
+    ],
+)
+def test_out_of_range_input_exit_2(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if line.strip()]) == 1
+
+
 def test_config_file_flags_win(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("n = 2\nbasis = beilinson\n")

@@ -1,25 +1,31 @@
 """Exact-arithmetic layer: ring axioms, duality, symmetric functions, Stirling
-numbers, matrix dagger, cyclotomic reduction."""
+numbers, matrix dagger, det/inverse/characteristic polynomial against a numeric
+oracle, cyclotomic reduction."""
 
+import cmath
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from projqde.ring import (
+    LAMBDA,
     LaurentMatrix,
     LaurentPoly,
     RationalFn,
+    char_poly,
     cyclotomic_polynomial,
-    lp_dual,
-    lp_mul,
-    mat_dagger,
     reduce_root_of_unity,
     stirling,
     sym_poly,
     vanishes_at_root_of_unity,
     zvars,
 )
+from projqde.stokes import SectorId, _columns_by_tag, stokes_basis
 
 V2 = zvars(2)
 V3 = zvars(3)
@@ -37,13 +43,13 @@ def test_mul_identity_and_difference_of_squares():
     z1 = LaurentPoly.variable(V2, "Z1")
     z2 = LaurentPoly.variable(V2, "Z2")
     one = LaurentPoly.one(V2)
-    assert lp_mul(z1 + z2, one) == z1 + z2
-    assert lp_mul(z1 - z2, z1 + z2) == z1 * z1 - z2 * z2
+    assert (z1 + z2) * one == z1 + z2
+    assert (z1 - z2) * (z1 + z2) == z1 * z1 - z2 * z2
 
 
 def test_mul_rejects_context_mismatch():
     with pytest.raises(ValueError):
-        lp_mul(LaurentPoly.one(V2), LaurentPoly.one(V3))
+        LaurentPoly.one(V2) * LaurentPoly.one(V3)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -84,12 +90,12 @@ def test_dual_is_ring_involution():
     for _ in range(100):
         f = rand_poly(rng, V3)
         g = rand_poly(rng, V3)
-        assert lp_dual(lp_dual(f)) == f
-        assert lp_dual(f * g) == lp_dual(f) * lp_dual(g)
-    assert lp_dual(LaurentPoly.one(V2)) == LaurentPoly.one(V2)
+        assert f.dual().dual() == f
+        assert (f * g).dual() == f.dual() * g.dual()
+    assert LaurentPoly.one(V2).dual() == LaurentPoly.one(V2)
     z1 = LaurentPoly.variable(V2, "Z1")
     z2inv = LaurentPoly.variable(V2, "Z2", -1)
-    assert lp_dual(z1 + z2inv) == LaurentPoly.variable(V2, "Z1", -1) + LaurentPoly.variable(V2, "Z2")
+    assert (z1 + z2inv).dual() == LaurentPoly.variable(V2, "Z1", -1) + LaurentPoly.variable(V2, "Z2")
 
 
 def test_ring_axioms_random():
@@ -131,15 +137,15 @@ def test_mat_dagger():
     zero = LaurentPoly.zero(V2)
     z1 = LaurentPoly.variable(V2, "Z1")
     ident = LaurentMatrix.identity(2, V2)
-    assert mat_dagger(ident) == ident
+    assert ident.dagger() == ident
     a = LaurentMatrix([[one, z1], [zero, one]])
-    assert mat_dagger(a) == LaurentMatrix([[one, zero], [z1.dual(), one]])
+    assert a.dagger() == LaurentMatrix([[one, zero], [z1.dual(), one]])
     rng = random.Random(3)
     for _ in range(10):
         m1 = LaurentMatrix([[rand_poly(rng, V2, 2, 2) for _ in range(3)] for _ in range(3)])
         m2 = LaurentMatrix([[rand_poly(rng, V2, 2, 2) for _ in range(3)] for _ in range(3)])
-        assert mat_dagger(m1 * m2) == mat_dagger(m2) * mat_dagger(m1)
-        assert mat_dagger(mat_dagger(m1)) == m1
+        assert (m1 * m2).dagger() == m2.dagger() * m1.dagger()
+        assert m1.dagger().dagger() == m1
 
 
 def test_matrix_inverse_paths():
@@ -149,12 +155,106 @@ def test_matrix_inverse_paths():
     z2 = LaurentPoly.variable(V2, "Z2")
     up = LaurentMatrix([[one, z1, z1 * z2], [zero, one, z2 + one], [zero, zero, one]])
     assert up * up.inverse() == LaurentMatrix.identity(3, V2)
-    # general unit-determinant matrix goes through the adjugate
+    # a non-triangular matrix of unit-monomial determinant
     g = LaurentMatrix([[z1, one], [z1 * z2, z2 + z1 * z2]])
     assert (g * g.inverse()) == LaurentMatrix.identity(2, V2)
     bad = LaurentMatrix([[one + z1, zero], [zero, one]])
     with pytest.raises(ValueError):
         bad.inverse()
+
+
+def _laurent_polys(vars, max_terms=3, span=2):
+    exps = st.tuples(*(st.integers(-span, span) for _ in vars))
+    return st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms).map(
+        lambda terms: LaurentPoly(vars, terms)
+    )
+
+
+def _unitriangular(draw, n, lower):
+    def entry(i, j):
+        if i == j:
+            return LaurentPoly.one(V3)
+        if (i > j) == lower:
+            return draw(_laurent_polys(V3))
+        return LaurentPoly.zero(V3)
+
+    return LaurentMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+@lru_cache(maxsize=None)
+def _stokes_coordinate_matrices():
+    """Matrices of determinant +-1, all but one non-triangular: the X-power
+    coordinates of the rank-3 Stokes bases, columns ordered by eigenvalue tag."""
+    out = []
+    for kind in ("Vprime", "Vdprime"):
+        for k in (-1, 0, 1):
+            basis = stokes_basis(SectorId(kind, k), 3)
+            out.append(_columns_by_tag(basis, list(reversed(basis.eigen_tags))))
+    return tuple(out)
+
+
+def _unit_det_matrix(draw, kind):
+    if kind == "stokes":
+        return draw(st.sampled_from(_stokes_coordinate_matrices()))
+    n = draw(st.integers(1, 4))
+    if kind == "upper":
+        return _unitriangular(draw, n, lower=False)
+    if kind == "lower":
+        return _unitriangular(draw, n, lower=True)
+    # kind == "lu": lower * upper * a diagonal of signed unit monomials
+    exps = st.tuples(*(st.integers(-2, 2) for _ in V3))
+    rows = [[LaurentPoly.zero(V3)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = LaurentPoly.monomial(V3, draw(exps), draw(st.sampled_from((1, -1, 2))))
+    upper, lower = _unitriangular(draw, n, lower=False), _unitriangular(draw, n, lower=True)
+    return lower * upper * LaurentMatrix(rows)
+
+
+def _torus_point(draw):
+    angles = [draw(st.floats(0, 2 * np.pi)) for _ in V3]
+    return {v: cmath.exp(1j * t) for v, t in zip(V3, angles)}
+
+
+def _numeric(m, point):
+    return np.array([[p.eval(point) for p in row] for row in m.entries])
+
+
+def _assert_close(exact, want):
+    exact, want = np.asarray(exact), np.asarray(want)
+    scale = max(1.0, float(np.max(np.abs(want))))
+    np.testing.assert_allclose(exact, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_det_matches_numeric_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    m = LaurentMatrix([[data.draw(_laurent_polys(V3)) for _ in range(n)] for _ in range(n)])
+    point = _torus_point(data.draw)
+    _assert_close(m.det().eval(point), np.linalg.det(_numeric(m, point)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(("upper", "lower", "lu", "stokes")))
+def test_inverse_matches_numeric_oracle(data, kind):
+    m = _unit_det_matrix(data.draw, kind)
+    point = _torus_point(data.draw)
+    _assert_close(_numeric(m.inverse(), point), np.linalg.inv(_numeric(m, point)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from(("upper", "lower", "lu", "stokes")))
+def test_char_poly_matches_numeric_oracle(data, kind):
+    a = _unit_det_matrix(data.draw, kind)
+    n = a.rows
+    b = LaurentMatrix([[data.draw(_laurent_polys(V3)) for _ in range(n)] for _ in range(n)])
+    point = _torus_point(data.draw)
+    cp = char_poly(a, b)
+    assert cp.vars == (LAMBDA,) + V3
+    assert set(cp.as_series(LAMBDA)) <= set(range(n + 1))
+    exact = [cp.coefficient(LAMBDA, n - k).eval(point) for k in range(n + 1)]
+    a_num, b_num = _numeric(a, point), _numeric(b, point)
+    _assert_close(exact, np.poly(np.linalg.solve(a_num, b_num)))
 
 
 def test_det_laplace():

@@ -10,11 +10,12 @@ import pytest
 
 from projqde.cohomology import NumericContext
 from projqde.hypergeom import QSolution, scaled_element_asymptotic_ratio
-from projqde.ktheory import braid_act, braid_constants, gram_matrix
+from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix
 from projqde.qde import BranchContext
-from projqde.ring import LaurentPoly, reduce_root_of_unity, sym_poly
+from projqde.ring import LaurentMatrix, LaurentPoly, reduce_root_of_unity, sym_poly, zvars
 from projqde.stokes import (
     SectorId,
+    _formal_monodromy_char_residual,
     antisymmetric_v_exact,
     dubrovin_bridge,
     e_matrix,
@@ -185,6 +186,23 @@ def test_stokes_matrices_triangular_and_gram(n):
             assert rep["dagger_pair"], (n, kind, k)
             assert rep["char_poly"], (n, kind, k)
             assert rep["formal_monodromy"], (n, kind, k)
+
+
+def _shift_entry(m, i, j, p):
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = rows[i][j] + p
+    return LaurentMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_char_poly_checks_reject_shifted_entries(n):
+    z1 = LaurentPoly.variable(zvars(n), "Z1")
+    g = gram_matrix(beilinson_basis(n))
+    assert dioph_residual(g, n).is_zero()
+    assert not dioph_residual(_shift_entry(g, 0, 1, z1), n).is_zero()
+    s1, s2 = stokes_matrices(SectorId("Vprime", 0), n)
+    assert _formal_monodromy_char_residual(s1, s2, n).is_zero()
+    assert not _formal_monodromy_char_residual(_shift_entry(s1, 0, 1, z1), s2, n).is_zero()
 
 
 def test_stokes_entries_symmetric_in_parameters():
