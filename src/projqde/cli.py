@@ -9,8 +9,8 @@ errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -86,16 +86,38 @@ def parse_z(text: str, n: int):
         return tuple(complex(p.replace(" ", "")) for p in parts)
 
 
+def parse_q(text: str) -> complex:
+    """The point q of the equations: a finite nonzero complex number."""
+    try:
+        q = complex(text.replace(" ", ""))
+    except ValueError:
+        raise ValueError(f"q must be a complex number, got {text!r}") from None
+    if q == 0 or not cmath.isfinite(q):
+        raise ValueError(f"q must be finite and nonzero, got {text!r}")
+    return q
+
+
 _CLASS_TOKEN = re.compile(r"^[0-9XZy\s\+\-\*/\(\)\^]*$")
+
+
+def _check_exponent(what: str, k: int, limit: int) -> None:
+    """Reduction of O(k) = X^{-k} to the basis O(0)..O(n-1), and the exact
+    determinants of a Stokes sector, take time growing fast with |k|: X
+    exponents, line-bundle indices and twists must satisfy |k| <= 2n, sector
+    indices |k| <= n."""
+    if abs(k) > limit:
+        raise ValueError(f"{what} out of range: |k| must be at most {limit}")
 
 
 def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     """Tiny expression syntax for Laurent polynomials in X, Z1..Zn
-    (also O(i) for line-bundle classes); ^ means power."""
+    (also O(i) for line-bundle classes, |i| <= 2n); ^ means power."""
     text = text.strip()
     m = re.fullmatch(r"O\((-?\d+)\)", text)
     if m:
-        return ktheory.KClass.line_bundle(n, int(m.group(1))).to_laurent()
+        i = int(m.group(1))
+        _check_exponent(f"line-bundle index O({i})", i, 2 * n)
+        return ktheory.KClass.line_bundle(n, i).to_laurent()
     expr = text.replace("^", "**")
     if not _CLASS_TOKEN.match(expr.replace("**", "^").replace("Z", "y")):
         raise ValueError(f"unsupported characters in class expression {text!r}")
@@ -147,19 +169,9 @@ def _named_basis(name: str, k: int, n: int):
     if name == "beilinson":
         return ktheory.beilinson_basis(n)
     if name in ("Q", "Qp", "Qpp", "Qpt", "Qppt"):
+        _check_exponent(f"twist k = {k}", k, 2 * n)
         return ktheory.structured_basis(name, k, n)
     raise ValueError(f"unknown basis {name!r}")
-
-
-def _default_precision():
-    val = os.environ.get("PROJQDE_PRECISION", "double")
-    return val if val == "double" else int(val)
-
-
-def _context(z, n) -> cohomology.NumericContext:
-    return cohomology.NumericContext(
-        tuple(complex(w) for w in z), precision=_default_precision()
-    )
 
 
 # -- commands -----------------------------------------------------------------------
@@ -179,10 +191,18 @@ def cmd_gram(args) -> dict:
     }
 
 
+def _mutation_class(text: str, n: int) -> ktheory.KClass:
+    p = parse_kclass_expr(text, n)
+    for k in (p.valuation("X"), p.degree("X")):
+        if k is not None:
+            _check_exponent(f"X exponent {k}", k, 2 * n)
+    return ktheory.kclass_from_laurent(p, n)
+
+
 def cmd_mutate(args) -> dict:
     n = args.n
-    e = ktheory.kclass_from_laurent(parse_kclass_expr(args.pivot, n), n)
-    f = ktheory.kclass_from_laurent(parse_kclass_expr(args.target, n), n)
+    e = _mutation_class(args.pivot, n)
+    f = _mutation_class(args.target, n)
     out = ktheory.mutate(args.side, e, f)
     return {"n": n, "side": args.side, "result": out.to_json()}
 
@@ -228,8 +248,8 @@ def cmd_dioph_check(args) -> dict:
 def cmd_solve_qde(args) -> dict:
     n = args.n
     z = parse_z(args.z, n)
-    _context(z, n)  # resonance guard
-    q = complex(args.q)
+    cohomology.NumericContext(z)  # resonance guard
+    q = parse_q(args.q)
     if args.solution == "levelt":
         sol = qde.levelt_series(n, z, args.order)
     else:
@@ -251,14 +271,14 @@ def cmd_solve_qde(args) -> dict:
 def cmd_qkz(args) -> dict:
     n = args.n
     z = [complex(w) for w in parse_z(args.z, n)]
-    m = qkz.qkz_operator(args.i, complex(args.q), z, basis=args.basis)
+    m = qkz.qkz_operator(args.i, parse_q(args.q), z, basis=args.basis)
     return {"n": n, "i": args.i, "basis": args.basis, "matrix": m}
 
 
 def cmd_qkz_check(args) -> dict:
     n = args.n
-    ctx = _context(parse_z(args.z, n), n)
-    q = complex(args.q)
+    ctx = cohomology.NumericContext(parse_z(args.z, n))
+    q = parse_q(args.q)
     Q = parse_kclass_expr(args.cls, n)
     residuals = {}
     for i in range(1, n + 1):
@@ -273,8 +293,8 @@ def cmd_qkz_check(args) -> dict:
 
 def cmd_psi(args) -> dict:
     n = args.n
-    ctx = _context(parse_z(args.z, n), n)
-    q = complex(args.q)
+    ctx = cohomology.NumericContext(parse_z(args.z, n))
+    q = parse_q(args.q)
     Q = parse_kclass_expr(args.cls, n)
     sol = hypergeom.psi_Q(Q, ctx, args.order)
     restr = sol.restrictions(q)
@@ -296,7 +316,8 @@ def cmd_psi(args) -> dict:
 
 def cmd_b_check(args) -> dict:
     n = args.n
-    ctx = _context(parse_z(args.z, n), n)
+    ctx = cohomology.NumericContext(parse_z(args.z, n))
+    _check_exponent(f"twist k = {args.k}", args.k, 2 * n)
     rep = hypergeom.b_theorem_check(args.k, ctx, args.order)
     rep = dict(rep)
     if rep["deviation"] > args.tol:
@@ -309,6 +330,7 @@ def cmd_b_check(args) -> dict:
 def cmd_stokes(args) -> dict:
     n = args.n
     sector = parse_sector(args.sector)
+    _check_exponent(f"sector index {sector.k}", sector.k, n)
     rep = stokes.gram_stokes_check(sector, n)
     report = {
         "n": n,
@@ -330,7 +352,7 @@ def cmd_stokes(args) -> dict:
     if not all(report["identities"].values()):
         raise MathFailure("a Stokes identity failed")
     if args.z:
-        ctx = _context(parse_z(args.z, n), n)
+        ctx = cohomology.NumericContext(parse_z(args.z, n))
         report["normalization"] = stokes.stokes_normalization(sector, ctx)
     return report
 
@@ -382,7 +404,7 @@ def cmd_verify_all(args) -> dict:
         == ktheory.braid_act(beta, basis).elements
     )
     z = tuple(Fraction(2 * m + (1 if m % 2 else 0), 2 * n + 1) for m in range(n))
-    ctx = _context(z, n)
+    ctx = cohomology.NumericContext(z)
     order = 25 if args.fast else 40
     results["ode_residual"] = qde.ode_residual(
         qde.levelt_series(n, z, order), 0.3, n, [complex(w) for w in z]
@@ -543,6 +565,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return 2 if exc.code not in (0, None) else 0
     try:
+        if args.n < 1:
+            raise ValueError(f"rank n must be positive, got {args.n}")
         report = args.fn(args)
     except MathFailure as exc:
         sys.stderr.write(f"FAILED: {exc}\n")

@@ -5,38 +5,104 @@ idempotent basis), where the cup product is componentwise.  The x-power basis
 is reached through the Vandermonde matrix of the equivariant parameters.  On
 top: the Poincare pairing, the graded Chern character, the Gamma classes, and
 the K-theory-to-cohomology comparison morphism together with its matrix.
+
+Each formula is written once, over the scalar field of the parameters z:
+Fractions when every z_i is rational, complex numbers otherwise, and the
+variables z1..zn (Laurent polynomials, rational functions where a formula
+divides) when z is omitted.  `parameters` reads the field off the input and
+`as_matrix` picks the container of a result: LaurentMatrix over Laurent
+polynomials, a complex ndarray over complex numbers, an object ndarray over
+Fractions and rational functions.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gamma as _gamma
 
-from .ring import LaurentPoly, RationalFn, sym_poly, zvars
+from .ring import (
+    LaurentMatrix,
+    LaurentPoly,
+    RationalFn,
+    complete_symmetric,
+    elementary_symmetric,
+    zvars,
+)
 from .ktheory import KClass
+
+OMEGA_TOL = 1e-9  # distance from the integers that counts as a resonance
+SELF_CHECK_ATOL = 1e-9  # absolute tolerance of built-in checks over complex numbers
 
 
 def cohom_vars(n: int) -> tuple[str, ...]:
     return zvars(n, prefix="z")
 
 
+# -- the scalar field of the parameters -----------------------------------------------
+
+
+def over_field(values: Sequence) -> list:
+    """The values over their common scalar field: Laurent polynomials and
+    rational functions as given, Fractions when every value is rational,
+    complex numbers otherwise."""
+    values = list(values)
+    if all(isinstance(w, (LaurentPoly, RationalFn)) for w in values):
+        return values
+    if all(isinstance(w, (int, Fraction)) for w in values):
+        return [Fraction(w) for w in values]
+    return [complex(w) for w in values]
+
+
+def parameters(n: int, z: Sequence | None = None) -> list:
+    """z_1..z_n over their scalar field; the variables z1..zn when z is None."""
+    if z is None:
+        return [LaurentPoly.variable(cohom_vars(n), v) for v in cohom_vars(n)]
+    if len(z) != n:
+        raise ValueError(f"expected {n} parameters, got {len(z)}")
+    return over_field(z)
+
+
+def as_matrix(rows, like):
+    """The container of a square array over the field of `like`; integer
+    entries are lifted into the field."""
+    if isinstance(like, LaurentPoly) and not any(
+        isinstance(x, RationalFn) for row in rows for x in row
+    ):
+        vs = like.vars
+        return LaurentMatrix(
+            [[x if isinstance(x, LaurentPoly) else LaurentPoly.constant(vs, x) for x in row] for row in rows]
+        )
+    return np.array(rows, dtype=complex if isinstance(like, (float, complex)) else object)
+
+
+def is_negligible(x, tol: float = SELF_CHECK_ATOL) -> bool:
+    """Zero over an exact field; at most tol in absolute value over the reals
+    or the complex numbers."""
+    if isinstance(x, (float, complex)):
+        return abs(x) <= tol
+    return x == 0
+
+
+def _signed(k: int, x):
+    """(-1)^k x."""
+    return -x if k % 2 else x
+
+
 @dataclass(frozen=True)
 class NumericContext:
     """Numeric equivariant parameters with a guard against resonances.
 
-    Pairwise differences z_i - z_j must stay away from the integers (within
-    omega_tol), else Gamma factors blow up and the Vandermonde degenerates.
-    precision is "double" or a number of bits for the mpmath Gamma path.
+    Pairwise differences z_i - z_j must stay OMEGA_TOL away from the
+    integers, else Gamma factors blow up and the Vandermonde degenerates.
     """
 
     z: tuple[complex, ...]
-    omega_tol: float = 1e-9
-    precision: int | str = "double"
 
     def __post_init__(self):
         object.__setattr__(self, "z", tuple(complex(w) for w in self.z))
@@ -52,7 +118,7 @@ class NumericContext:
                 if i == j:
                     continue
                 d = self.z[i] - self.z[j]
-                if abs(d.imag) < self.omega_tol and abs(d.real - round(d.real)) < self.omega_tol:
+                if abs(d.imag) < OMEGA_TOL and abs(d.real - round(d.real)) < OMEGA_TOL:
                     raise ValueError(
                         f"parameters outside the resonance-free domain: z{i + 1}-z{j + 1}={d}"
                     )
@@ -61,21 +127,10 @@ class NumericContext:
         """Context with z_i shifted by an integer step (default the qKZ shift -1)."""
         z = list(self.z)
         z[i - 1] += step
-        return NumericContext(z, self.omega_tol, self.precision)
+        return NumericContext(z)
 
     def gamma(self, w: complex) -> complex:
-        return _gamma(w, self.precision)
-
-
-def _gamma(w: complex, precision) -> complex:
-    if precision == "double":
-        from scipy.special import gamma as _sgamma
-
-        return complex(_sgamma(complex(w)))
-    import mpmath
-
-    with mpmath.workprec(int(precision)):
-        return complex(mpmath.gamma(mpmath.mpc(w)))
+        return complex(_gamma(complex(w)))
 
 
 class CohClass:
@@ -141,209 +196,95 @@ class CohClass:
 # -- bases and the Vandermonde matrix ------------------------------------------------
 
 
-def vandermonde(n: int, z: Sequence[complex] | None = None):
-    """The base-change matrix D (rows: fixed points, columns: x-powers) and its
-    closed-form inverse.  Numeric for given z, exact rational functions in
-    symbolic mode (z=None); D @ D^{-1} = 1 is asserted either way."""
-    if z is not None:
-        z = [complex(w) for w in z]
-        d = np.array([[z[j] ** a for a in range(n)] for j in range(n)], dtype=complex)
-        dinv = np.empty((n, n), dtype=complex)
-        for alpha in range(n):
-            for j in range(n):
-                dinv[alpha, j] = _vinv_entry_numeric(n, alpha, j, z)
-        if not np.allclose(d @ dinv, np.eye(n), atol=1e-9):
-            raise ArithmeticError("Vandermonde inverse check failed (parameters too close?)")
-        return d, dinv
-    vs = cohom_vars(n)
-    zpol = [LaurentPoly.variable(vs, f"z{j + 1}") for j in range(n)]
-    d = [[RationalFn(zpol[j] ** a) for a in range(n)] for j in range(n)]
-    dinv = [[_vinv_entry_symbolic(n, alpha, j, zpol) for j in range(n)] for alpha in range(n)]
-    prod = _rf_matmul(d, dinv)
+def vandermonde(n: int, z: Sequence | None = None):
+    """The base change D (rows: fixed points, columns: x-powers), D_{ja} = z_j^a,
+    and its closed-form inverse, over the field of z:
+
+        (D^{-1})_{aj} = (-1)^k e_k(z without z_j) / prod_{m != j}(z_j - z_m),
+        k = n-1-a.
+
+    D D^{-1} = 1 is asserted."""
+    z = parameters(n, z)
+    others = [z[:j] + z[j + 1 :] for j in range(n)]
+    # the product starts at the field's 1, so that n = 1 stays in the field
+    dens = [math.prod((z[j] - w for w in others[j]), start=z[j] ** 0) for j in range(n)]
+    d = [[w**a for a in range(n)] for w in z]
+    dinv = [
+        [_signed(n - 1 - a, elementary_symmetric(others[j], n - 1 - a)) / dens[j] for j in range(n)]
+        for a in range(n)
+    ]
     for i in range(n):
         for j in range(n):
-            want = RationalFn(LaurentPoly.constant(vs, 1 if i == j else 0))
-            if not (prod[i][j] - want).is_zero():
-                raise ArithmeticError("symbolic Vandermonde inverse check failed")
-    return d, dinv
+            x = sum(d[i][k] * dinv[k][j] for k in range(n)) - (1 if i == j else 0)
+            if not is_negligible(x):
+                raise ArithmeticError("Vandermonde inverse check failed (parameters too close?)")
+    return as_matrix(d, z[0]), as_matrix(dinv, z[0])
 
 
-def _sym_without(n: int, k: int, j: int, zpol):
-    """Elementary symmetric polynomial of degree k in the z's without z_{j+1}."""
-    from itertools import combinations
-
-    vs = zpol[0].vars
-    acc = LaurentPoly.zero(vs)
-    idx = [i for i in range(n) if i != j]
-    for subset in combinations(idx, k):
-        term = LaurentPoly.one(vs)
-        for i in subset:
-            term = term * zpol[i]
-        acc = acc + term
-    return acc
-
-
-def _vinv_entry_symbolic(n, alpha, j, zpol):
-    # (D^{-1})_{alpha j} = (-1)^{n-1-alpha} e_{n-1-alpha}(z without z_j) / prod_{m!=j}(z_j - z_m)
-    num = _sym_without(n, n - 1 - alpha, j, zpol)
-    if (n - 1 - alpha) % 2 == 1:
-        num = -num
-    den = LaurentPoly.one(zpol[0].vars)
-    for m in range(n):
-        if m != j:
-            den = den * (zpol[j] - zpol[m])
-    return RationalFn(num, den)
-
-
-def _vinv_entry_numeric(n, alpha, j, z):
-    from itertools import combinations
-
-    others = [z[m] for m in range(n) if m != j]
-    k = n - 1 - alpha
-    e = sum(math.prod(c) for c in combinations(others, k)) if k > 0 else 1.0
-    den = math.prod(z[j] - z[m] for m in range(n) if m != j)
-    return (-1) ** k * e / den
-
-
-def _rf_matmul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def g_basis_matrix(n: int, z: Sequence[complex] | None = None):
+def g_basis_matrix(n: int, z: Sequence | None = None):
     """Columns express the nested-product basis g_j = prod_{a>j}(x - z_a) in
-    x-power coordinates; g_n = 1."""
-    if z is None:
-        vs = cohom_vars(n)
-        zpol = [LaurentPoly.variable(vs, f"z{j + 1}") for j in range(n)]
-        cols = []
-        for j in range(1, n + 1):
-            coeffs = [LaurentPoly.zero(vs) for _ in range(n)]
-            coeffs[0] = LaurentPoly.one(vs)
-            deg = 0
-            for a in range(j + 1, n + 1):
-                new = [LaurentPoly.zero(vs) for _ in range(n)]
-                for d in range(deg + 1):
-                    new[d + 1] = new[d + 1] + coeffs[d]
-                    new[d] = new[d] - coeffs[d] * zpol[a - 1]
-                coeffs = new
-                deg += 1
-            cols.append(coeffs)
-        from .ring import LaurentMatrix
-
-        return LaurentMatrix([[cols[j][alpha] for j in range(n)] for alpha in range(n)])
-    z = [complex(w) for w in z]
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(1, n + 1):
-        poly = np.array([1.0 + 0j])
-        for a in range(j + 1, n + 1):
-            poly = np.convolve(poly, np.array([-z[a - 1], 1.0 + 0j]))
-        out[: len(poly), j - 1] = poly
-    return out
+    x-power coordinates (g_n = 1): the coefficient of x^a in g_j is
+    (-1)^{n-j-a} e_{n-j-a}(z_{j+1}, .., z_n)."""
+    z = parameters(n, z)
+    return as_matrix(
+        [
+            [_signed(n - 1 - j - a, elementary_symmetric(z[j + 1 :], n - 1 - j - a)) for j in range(n)]
+            for a in range(n)
+        ],
+        z[0],
+    )
 
 
-def delta_to_g(n: int, z: Sequence[complex], vec: np.ndarray) -> np.ndarray:
-    """Convert fixed-point restrictions to g-basis coordinates."""
-    _, dinv = vandermonde(n, z)
-    g = g_basis_matrix(n, z)
-    return np.linalg.solve(g, dinv @ np.asarray(vec, dtype=complex))
+def g_basis_inverse(n: int, z: Sequence | None = None):
+    """Inverse of `g_basis_matrix`, by Newton's interpolation identity
+    x^a = sum_j h_{a-n+j}(z_j, .., z_n) g_j."""
+    z = parameters(n, z)
+    return as_matrix(
+        [[complete_symmetric(z[j:], a - (n - 1 - j)) for a in range(n)] for j in range(n)], z[0]
+    )
 
 
 # -- Poincare pairing -----------------------------------------------------------------
 
 
-def eta_gram(n: int, z: Sequence[complex] | None = None):
-    """Gram matrix of the Poincare pairing in the x-power basis: zero under the
-    antidiagonal, ones on it, complete symmetric functions above."""
-    if z is None:
-        vs = cohom_vars(n)
-        rows = []
-        for a in range(n):
-            row = []
-            for b in range(n):
-                if a + b < n - 1:
-                    row.append(LaurentPoly.zero(vs))
-                elif a + b == n - 1:
-                    row.append(LaurentPoly.one(vs))
-                else:
-                    row.append(sym_poly("complete", a + b - n + 1, n, prefix="z"))
-            rows.append(row)
-        from .ring import LaurentMatrix
-
-        return LaurentMatrix(rows)
-    z = [complex(w) for w in z]
-    out = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            if a + b == n - 1:
-                out[a, b] = 1.0
-            elif a + b > n - 1:
-                vals = {f"Z{i + 1}": z[i] for i in range(n)}
-                out[a, b] = sym_poly("complete", a + b - n + 1, n).eval(vals)
-    return out
+def eta_gram(n: int, z: Sequence | None = None):
+    """Gram matrix of the Poincare pairing in the x-power basis:
+    eta_{ab} = h_{a+b-n+1}(z), so zero under the antidiagonal, one on it and
+    complete symmetric functions above."""
+    z = parameters(n, z)
+    return as_matrix(
+        [[complete_symmetric(z, a + b - n + 1) for b in range(n)] for a in range(n)], z[0]
+    )
 
 
-def eta_pair(u: CohClass, v: CohClass, z: Sequence) -> complex | RationalFn:
+def eta_pair(u: CohClass, v: CohClass, z: Sequence):
     """Poincare pairing via the fixed-point sum with weights 1/prod(z_i - z_j)."""
     n = u.n
-    total = None
-    for i in range(n):
-        w = None
-        for j in range(n):
-            if j == i:
-                continue
-            f = z[i] - z[j]
-            w = f if w is None else w * f
-        term = u.restrictions[i] * v.restrictions[i] * _invert(w)
-        total = term if total is None else total + term
-    return total
-
-
-def _invert(w):
-    if isinstance(w, LaurentPoly):
-        return RationalFn(LaurentPoly.one(w.vars), w)
-    if isinstance(w, RationalFn):
-        return RationalFn(w.den, w.num)
-    if isinstance(w, Fraction):
-        return Fraction(1) / w
-    return 1.0 / w
+    return sum(
+        u.restrictions[i]
+        * v.restrictions[i]
+        / math.prod(z[i] - z[j] for j in range(n) if j != i)
+        for i in range(n)
+    )
 
 
 # -- characteristic classes ------------------------------------------------------------
 
 
 def chern_character(f: KClass, ctx: NumericContext | None = None) -> CohClass:
-    """Graded Chern character by fixed-point restriction: substitute
-    X -> exp(2 pi i z_I) and Z_a -> exp(2 pi i z_a) at the point I.
-
-    Without a context the substitution X -> Z_I is performed symbolically, so
-    the restrictions are Laurent polynomials in the exponentiated parameters.
-    """
+    """Graded Chern character by fixed-point restriction: substitute X -> Z_I
+    at the point I, giving Laurent polynomials in the exponentiated parameters
+    Z_a; with a context they are evaluated at Z_a = exp(2 pi i z_a)."""
     n = f.n
-    if ctx is None:
-        lf = f.to_laurent()
-        res = []
-        for i in range(1, n + 1):
-            e = [0] * (n + 1)
-            e[lf.vars.index(f"Z{i}")] = 1
-            res.append(lf.substitute_monomial("X", 1, tuple(e)).drop_vars(["X"]))
-        return CohClass(n, res)
-    az = [cmath.exp(2j * cmath.pi * w) for w in ctx.z]
     lf = f.to_laurent()
     res = []
-    for i in range(n):
-        vals = {f"Z{a + 1}": az[a] for a in range(n)}
-        vals["X"] = az[i]
-        res.append(lf.eval(vals))
+    for i in range(1, n + 1):
+        e = [0] * (n + 1)
+        e[lf.vars.index(f"Z{i}")] = 1
+        res.append(lf.substitute_monomial("X", 1, tuple(e)).drop_vars(["X"]))
+    if ctx is not None:
+        az = {f"Z{a + 1}": cmath.exp(2j * cmath.pi * w) for a, w in enumerate(ctx.z)}
+        res = [r.eval(az) for r in res]
     return CohClass(n, res)
 
 

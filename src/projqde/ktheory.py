@@ -453,6 +453,8 @@ class ExceptionalBasis:
 
 def beilinson_basis(n: int) -> ExceptionalBasis:
     """(O(0), O(1), ..., O(n-1))."""
+    if n < 2:
+        raise ValueError("rank must be at least 2")
     return ExceptionalBasis(
         [KClass.line_bundle(n, i) for i in range(n)],
         [f"O({i})" for i in range(n)],

@@ -3,8 +3,10 @@ two distinguished fundamental solutions at the regular singular point q = 0:
 the Levelt solution D^{-1}(1 + sum G_k q^k) q^diag(z) and the
 topological-enumerative solution built from the scalar series a_j.
 
-Coefficient recursions run over a generic scalar field, so the same code
-produces exact (rational z) and numeric (complex z) series.
+The system matrices and the coefficient recursions are written once, over
+the scalar field of z (see `cohomology`): Fractions for rational z, complex
+numbers for numeric z, rational functions in z1..zn when z is omitted.  The
+evaluators turn the coefficients into complex matrices.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Sequence
+from operator import mul
+from typing import Sequence
 
 import numpy as np
 
-from .ring import LaurentMatrix, LaurentPoly, RationalFn, sym_poly
-from .cohomology import cohom_vars, eta_gram, vandermonde
+from .ring import elementary_symmetric
+from .cohomology import as_matrix, eta_gram, is_negligible, parameters, vandermonde
 
 
 @dataclass(frozen=True)
@@ -72,34 +73,17 @@ class MatrixSeries:
 # -- the equation ---------------------------------------------------------------------
 
 
-def system_matrices(n: int, z: Sequence[complex] | None = None):
+def system_matrices(n: int, z: Sequence | None = None):
     """A0 (single 1 in the upper-right corner) and the companion-type A1(z)
-    whose eigenvalues are z_1..z_n."""
-    if z is None:
-        vs = cohom_vars(n)
-        zero = LaurentPoly.zero(vs)
-        one = LaurentPoly.one(vs)
-        a0 = [[zero] * n for _ in range(n)]
-        a0[0][n - 1] = one
-        a1 = [[zero] * n for _ in range(n)]
-        for i in range(1, n):
-            a1[i][i - 1] = one
-        for i in range(n):
-            s = sym_poly("elementary", n - i, n, prefix="z")
-            if (n - i - 1) % 2 == 1:
-                s = -s
-            a1[i][n - 1] = a1[i][n - 1] + s
-        return LaurentMatrix(a0), LaurentMatrix(a1)
-    z = [complex(w) for w in z]
-    a0 = np.zeros((n, n), dtype=complex)
-    a0[0, n - 1] = 1.0
-    a1 = np.zeros((n, n), dtype=complex)
-    for i in range(1, n):
-        a1[i, i - 1] = 1.0
+    whose eigenvalues are z_1..z_n: ones under the diagonal and last column
+    (A1)_{i,n} = (-1)^{n-i} e_{n-i+1}(z)."""
+    z = parameters(n, z)
+    a0 = [[1 if (i, j) == (0, n - 1) else 0 for j in range(n)] for i in range(n)]
+    a1 = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
     for i in range(n):
-        vals = {f"Z{j + 1}": z[j] for j in range(n)}
-        a1[i, n - 1] += (-1) ** (n - i - 1) * sym_poly("elementary", n - i, n).eval(vals)
-    return a0, a1
+        e = elementary_symmetric(z, n - i)
+        a1[i][n - 1] = -e if (n - i - 1) % 2 else e
+    return as_matrix(a0, z[0]), as_matrix(a1, z[0])
 
 
 def coefficient_matrix(n: int, z: Sequence[complex], q: complex) -> np.ndarray:
@@ -107,76 +91,21 @@ def coefficient_matrix(n: int, z: Sequence[complex], q: complex) -> np.ndarray:
     return a0 + a1 / q
 
 
-# -- generic-field helpers -------------------------------------------------------------
-
-
-def elementary_symmetric(vals: Sequence, k: int):
-    if k == 0:
-        return 1
-    acc = None
-    for subset in combinations(vals, k):
-        term = subset[0]
-        for v in subset[1:]:
-            term = term * v
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else 0
-
-
-def _exact_vandermonde(z: Sequence[Fraction]):
-    n = len(z)
-    d = [[z[j] ** a for a in range(n)] for j in range(n)]
-    dinv = []
-    for alpha in range(n):
-        row = []
-        for j in range(n):
-            others = [z[m] for m in range(n) if m != j]
-            k = n - 1 - alpha
-            e = elementary_symmetric(others, k)
-            den = Fraction(1)
-            for m in range(n):
-                if m != j:
-                    den *= z[j] - z[m]
-            row.append(Fraction((-1) ** k) * e / den)
-        dinv.append(row)
-    return d, dinv
-
-
-def _levelt_coefficients(n: int, z: Sequence, order: int):
-    """G_1..G_order of the Levelt gauge, over Fractions or complex numbers.
+def levelt_coefficients(n: int, z: Sequence | None, order: int) -> list:
+    """G_0 = 1, G_1..G_order of the Levelt gauge, over the field of z.
 
     Recursion: (G_{k+1})_{ij} = -(M G_k)_{ij} / (z_i - z_j - (k+1)) with
-    M = D A0 D^{-1}, which is the rank-one matrix with rows equal to the last
-    row of D^{-1}."""
-    exact = all(isinstance(w, (int, Fraction)) for w in z)
-    if exact:
-        z = [Fraction(w) for w in z]
-        _, dinv = _exact_vandermonde(z)
-        m = [[dinv[n - 1][j] for j in range(n)] for _ in range(n)]
-        gk = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        coeffs = [gk]
-        for k in range(order):
-            mg = [
-                [sum(m[i][l] * gk[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            gk = [
-                [-mg[i][j] / (z[i] - z[j] - (k + 1)) for j in range(n)]
-                for i in range(n)
-            ]
-            coeffs.append(gk)
-        return coeffs
-    zc = [complex(w) for w in z]
-    _, dinv = vandermonde(n, zc)
-    m = np.tile(dinv[n - 1, :], (n, 1))
-    denom = np.empty((n, n), dtype=complex)
-    gk = np.eye(n, dtype=complex)
-    coeffs = [gk]
-    for k in range(order):
-        for i in range(n):
-            for j in range(n):
-                denom[i, j] = zc[i] - zc[j] - (k + 1)
-        gk = -(m @ gk) / denom
-        coeffs.append(gk)
+    M = D A0 D^{-1}, the rank-one matrix whose rows all equal the last row r
+    of D^{-1}; so (M G_k)_{ij} = (r G_k)_j and a step costs O(n^2)."""
+    z = parameters(n, z)
+    _, dinv = vandermonde(n, z)
+    r = [dinv[n - 1, j] for j in range(n)]
+    gk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [as_matrix(gk, z[0])]
+    for k in range(1, order + 1):
+        rg = [sum(map(mul, r, col)) for col in zip(*gk)]
+        gk = [[-rg[j] / (z[i] - z[j] - k) for j in range(n)] for i in range(n)]
+        coeffs.append(as_matrix(gk, z[0]))
     return coeffs
 
 
@@ -187,12 +116,8 @@ class LeveltSolution:
         self.n = n
         self.z = tuple(z)
         self.order = order
-        self.exact_coeffs = None
-        coeffs = _levelt_coefficients(n, z, order)
-        if isinstance(coeffs[0], list):
-            self.exact_coeffs = coeffs
-            coeffs = [np.array([[complex(x) for x in row] for row in g]) for g in coeffs]
-        self.series = MatrixSeries("q", tuple(coeffs), order)
+        coeffs = levelt_coefficients(n, z, order)
+        self.series = MatrixSeries("q", tuple(np.asarray(g, dtype=complex) for g in coeffs), order)
         zc = [complex(w) for w in z]
         self.d, self.dinv = vandermonde(n, zc)
         self.zc = np.array(zc)
@@ -227,21 +152,15 @@ def levelt_series(n: int, z: Sequence, order: int) -> LeveltSolution:
 # -- topological-enumerative solution ---------------------------------------------------
 
 
-def a_series_coefficients(n: int, z: Sequence, order: int, j: int):
+def a_series_coefficients(n: int, z: Sequence | None, order: int, j: int) -> list:
     """Coefficients c_d of the scalar series a_j = q^{z_j}(1 + sum c_d q^d),
-    c_d = 1 / prod_i prod_{m<=d} (z_j - z_i + m), over a generic field."""
-    exact = all(isinstance(w, (int, Fraction)) for w in z)
-    if exact:
-        z = [Fraction(w) for w in z]
-        one = Fraction(1)
-    else:
-        z = [complex(w) for w in z]
-        one = 1.0 + 0j
-    coeffs = [one]
-    c = one
+    c_d = 1 / prod_i prod_{m<=d} (z_j - z_i + m), over the field of z."""
+    z = parameters(n, z)
+    c = z[j - 1] ** 0
+    coeffs = [c]
     for d in range(1, order + 1):
-        for i in range(len(z)):
-            c = c / (z[j - 1] - z[i] + d)
+        for w in z:
+            c = c / (z[j - 1] - w + d)
         coeffs.append(c)
     return coeffs
 
@@ -359,31 +278,13 @@ class ScalarSeries:
         )
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        for c in self.coeffs:
-            if isinstance(c, (RationalFn, LaurentPoly)):
-                if not c.is_zero():
-                    return False
-            elif isinstance(c, Fraction) or isinstance(c, int):
-                if c != 0:
-                    return False
-            else:
-                if abs(c) > tol:
-                    return False
-        return True
+        return all(is_negligible(c, tol) for c in self.coeffs)
 
 
 def a_series_symbolic(n: int, j: int, order: int) -> ScalarSeries:
     """The scalar series a_j with rational-function coefficients in symbolic z."""
-    vs = cohom_vars(n)
-    zpol = [LaurentPoly.variable(vs, f"z{i + 1}") for i in range(n)]
-    one = RationalFn(LaurentPoly.one(vs))
-    coeffs = [one]
-    c = one
-    for d in range(1, order + 1):
-        for i in range(n):
-            c = c / RationalFn(zpol[j - 1] - zpol[i] + LaurentPoly.constant(vs, d))
-        coeffs.append(c)
-    return ScalarSeries(RationalFn(zpol[j - 1]), coeffs, order)
+    z = parameters(n)
+    return ScalarSeries(z[j - 1], a_series_coefficients(n, z, order, j), order)
 
 
 def scalar_qde_residual(phi: ScalarSeries, n: int, z: Sequence) -> ScalarSeries:

@@ -11,9 +11,9 @@ Values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -115,15 +115,21 @@ class LaurentPoly:
             raise ValueError(f"variable-context mismatch: {self.vars} vs {other.vars}")
 
     def _as_poly(self, other) -> "LaurentPoly":
+        """other in this context; NotImplemented for a rational function,
+        whose reflected operation then takes over."""
         if isinstance(other, LaurentPoly):
             self._check_context(other)
             return other
+        if isinstance(other, RationalFn):
+            return NotImplemented
         return LaurentPoly.constant(self.vars, other)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._as_poly(other)
+        if other is NotImplemented:
+            return other
         tm = dict(self.terms)
         for e, c in other.terms.items():
             s = tm.get(e, 0) + c
@@ -139,13 +145,18 @@ class LaurentPoly:
         return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        return self + (-self._as_poly(other))
+        other = self._as_poly(other)
+        if other is NotImplemented:
+            return other
+        return self + (-other)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
+            if isinstance(other, RationalFn):
+                return NotImplemented
             c = _norm_coeff(other)
             if c == 0:
                 return LaurentPoly.zero(self.vars)
@@ -166,6 +177,13 @@ class LaurentPoly:
         return LaurentPoly._raw(self.vars, tm)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "RationalFn":
+        """Division lands in the field of fractions."""
+        return RationalFn(self) / other
+
+    def __rtruediv__(self, other) -> "RationalFn":
+        return other / RationalFn(self)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
@@ -420,8 +438,6 @@ def sym_poly(kind: str, k: int, n: int, prefix: str = "Z") -> LaurentPoly:
         if k > n:
             raise ValueError(f"elementary symmetric function needs k <= n, got k={k}, n={n}")
         terms = {}
-        from itertools import combinations
-
         for subset in combinations(range(n), k):
             e = [0] * n
             for i in subset:
@@ -434,6 +450,32 @@ def sym_poly(kind: str, k: int, n: int, prefix: str = "Z") -> LaurentPoly:
             terms[e] = Fraction(1)
         return LaurentPoly(vs, terms)
     raise ValueError(f"unknown kind {kind!r} (use 'elementary' or 'complete')")
+
+
+def elementary_symmetric(vals: Sequence, k: int):
+    """e_k of the values, over their ring or field (e_0 = 1, and e_k = 0 for
+    k < 0 or k > len(vals))."""
+    if k <= 0:
+        return 1 if k == 0 else 0
+    acc = None
+    for subset in combinations(vals, k):
+        term = subset[0]
+        for v in subset[1:]:
+            term = term * v
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else 0
+
+
+def complete_symmetric(vals: Sequence, k: int):
+    """h_k of the values, over their ring or field (h_0 = 1, and h_k = 0 for
+    k < 0), by h_k(v_1..v_m) = h_k(v_1..v_{m-1}) + v_m h_{k-1}(v_1..v_m)."""
+    if k < 0:
+        return 0
+    h = [1] + [0] * k
+    for v in vals:
+        for j in range(1, k + 1):
+            h[j] = h[j] + v * h[j - 1]
+    return h[k]
 
 
 def _compositions(k: int, n: int) -> Iterable[tuple[int, ...]]:
@@ -650,6 +692,11 @@ class LaurentMatrix:
 
     def __rmul__(self, other):
         return self.map(lambda p: p * other)
+
+    def __matmul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        if not isinstance(other, LaurentMatrix):
+            return NotImplemented
+        return self * other
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentMatrix):

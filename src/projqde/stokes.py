@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohomology import NumericContext, cohom_vars, eta_gram
+from .cohomology import NumericContext, cohom_vars
 from .ktheory import (
     ExceptionalBasis,
     braid_act,
@@ -35,12 +35,13 @@ from .ktheory import (
     spectrum_poly,
     structured_basis,
 )
-from .qde import BranchContext, elementary_symmetric, system_matrices
+from .qde import system_matrices
 from .qkz import formal_derivative, qkz_operator_symbolic
 from .ring import (
     LaurentMatrix,
     LaurentPoly,
     char_poly,
+    elementary_symmetric,
     reduce_root_of_unity,
     sym_poly,
     zvars,

@@ -104,6 +104,15 @@ def test_bad_usage_exit_2(capsys):
         ["gram", "--n", "0"],
         ["dioph-check", "--n", "0"],
         ["qkz", "--n", "2", "--i", "3", "--q", "0.3", "--z", "0.2,0.6"],
+        ["gram", "--n", "1"],
+        ["braid", "--n", "1"],
+        ["dioph-check", "--n", "1"],
+        ["mutate", "--n", "3", "--side", "left", "--pivot", "O(1)", "--target", "X^5000"],
+        ["mutate", "--n", "3", "--side", "left", "--pivot", "O(1)", "--target", "X^7*Z1"],
+        ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "O(-5)"],
+        ["gram", "--n", "4", "--basis", "Qp", "--k", "40"],
+        ["b-check", "--n", "2", "--z", "0.1,0.37", "--k", "300"],
+        ["stokes", "--n", "4", "--sector", "vpp:-8"],
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv):
@@ -111,6 +120,29 @@ def test_out_of_range_input_exit_2(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len([line for line in captured.err.splitlines() if line.strip()]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0"],
+        ["qkz-check", "--n", "2", "--z", "0.1,0.37", "--q", "0"],
+        ["qkz", "--n", "2", "--i", "1", "--z", "0.1,0.37", "--q", "0"],
+        ["solve-qde", "--n", "2", "--z", "0.1,0.37", "--q", "0"],
+        ["qkz", "--n", "2", "--i", "1", "--z", "0.1,0.37", "--q", "inf"],
+    ],
+)
+def test_q_out_of_domain_names_q(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: q must be")
+
+
+def test_largest_accepted_exponents(capsys):
+    # |k| = 2n for classes and twists, |k| = n for sectors
+    n = "2"
+    assert main(["mutate", "--n", n, "--side", "right", "--pivot", "X^-4", "--target", "O(4)"]) == 0
+    assert main(["gram", "--n", n, "--basis", "Qpt", "--k", "-4"]) == 0
+    assert main(["stokes", "--n", n, "--sector", "vp:-2"]) == 0
 
 
 def test_config_file_flags_win(tmp_path, capsys):

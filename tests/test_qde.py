@@ -14,6 +14,7 @@ from projqde.qde import (
     a_series_coefficients,
     a_series_symbolic,
     coefficient_matrix,
+    levelt_coefficients,
     levelt_series,
     ode_residual,
     scalar_qde_residual,
@@ -60,12 +61,9 @@ def test_levelt_recursion_exact_substitution():
     # entrywise recursion check against the defining relation, rank 3, exact z
     n = 3
     z = (Fraction(0), Fraction(1, 3), Fraction(5, 7))
-    sol = levelt_series(n, z, 6)
-    from projqde.qde import _exact_vandermonde
-
-    d, dinv = _exact_vandermonde([Fraction(w) for w in z])
-    m = [[dinv[n - 1][j] for j in range(n)] for _ in range(n)]
-    gs = sol.exact_coeffs
+    _, dinv = vandermonde(n, z)
+    m = [[dinv[n - 1, j] for j in range(n)] for _ in range(n)]
+    gs = levelt_coefficients(n, z, 6)
     for k in range(6):
         gk, gk1 = gs[k], gs[k + 1]
         for i in range(n):

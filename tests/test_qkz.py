@@ -32,7 +32,7 @@ def test_r_matrix_inversion_symbolic():
     vs = uvars(n)
     u = LaurentPoly.variable(vs, "u")
     for a, b in ((1, 2), (1, 3), (2, 3)):
-        prod = r_matrix(a, b, u, n, vs) * r_matrix(b, a, -u, n, vs)
+        prod = r_matrix(a, b, u, n) * r_matrix(b, a, -u, n)
         assert prod == LaurentMatrix.identity(n, vs), (a, b)
 
 
@@ -42,8 +42,8 @@ def test_yang_baxter_symbolic():
     u = LaurentPoly.variable(vs, "u")
     v = LaurentPoly.variable(vs, "v")
     a, b, c = 1, 2, 3
-    lhs = r_matrix(a, b, u - v, n, vs) * r_matrix(a, c, u, n, vs) * r_matrix(b, c, v, n, vs)
-    rhs = r_matrix(b, c, v, n, vs) * r_matrix(a, c, u, n, vs) * r_matrix(a, b, u - v, n, vs)
+    lhs = r_matrix(a, b, u - v, n) * r_matrix(a, c, u, n) * r_matrix(b, c, v, n)
+    rhs = r_matrix(b, c, v, n) * r_matrix(a, c, u, n) * r_matrix(a, b, u - v, n)
     assert lhs == rhs
 
 
