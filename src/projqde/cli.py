@@ -9,6 +9,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import ast
 import cmath
 import json
 import re
@@ -109,9 +110,29 @@ def _check_exponent(what: str, k: int, limit: int) -> None:
         raise ValueError(f"{what} out of range: |k| must be at most {limit}")
 
 
+def _check_powers(tree: ast.AST, limit: int) -> None:
+    """Each power p^k of a class expression takes an integer literal k with
+    |k| <= limit and a base p that holds no power: the degree of the class is
+    then at most limit times the length of the expression, where a chain or
+    tower of powers would raise it exponentially."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
+            continue
+        try:
+            k = ast.literal_eval(node.right)
+        except ValueError:
+            k = None
+        if type(k) is not int:
+            raise ValueError("an exponent must be an integer literal")
+        _check_exponent(f"exponent {k}", k, limit)
+        if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow) for sub in ast.walk(node.left)):
+            raise ValueError("the base of a power must not hold a power")
+
+
 def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     """Tiny expression syntax for Laurent polynomials in X, Z1..Zn
-    (also O(i) for line-bundle classes, |i| <= 2n); ^ means power."""
+    (also O(i) for line-bundle classes, |i| <= 2n); ^ means power, with an
+    integer literal exponent |k| <= 2n and a base without a power."""
     text = text.strip()
     m = re.fullmatch(r"O\((-?\d+)\)", text)
     if m:
@@ -126,6 +147,7 @@ def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     for i in range(1, n + 1):
         names[f"Z{i}"] = LaurentPoly.variable(vs, f"Z{i}")
     try:
+        _check_powers(ast.parse(expr, mode="eval"), 2 * n)
         value = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - guarded charset
     except Exception as exc:
         raise ValueError(f"cannot parse class expression {text!r}: {exc}") from exc

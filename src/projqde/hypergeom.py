@@ -109,10 +109,6 @@ class SolutionSeries:
         return out
 
 
-def psi_J_series(J: int, ctx: NumericContext, order: int) -> SolutionSeries:
-    return SolutionSeries(J, ctx, order)
-
-
 def _char_values(ctx: NumericContext) -> list[complex]:
     return [cmath.exp(2j * cmath.pi * w) for w in ctx.z]
 

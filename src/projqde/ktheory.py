@@ -297,11 +297,6 @@ def kclass_from_laurent(f: LaurentPoly, n: int) -> KClass:
     return KClass._of(_expand(zvars(n), [(c, -m) for m, c in f.as_series("X").items()]))
 
 
-def canonical_class(n: int) -> KClass:
-    """Class of the equivariant canonical sheaf: X^n / prod_j Z_j."""
-    return KClass.x_power(n, n).scale(_en_power(n, -1))
-
-
 def serre_twist(e: KClass) -> KClass:
     """Canonical operator on classes: tensor by the canonical sheaf and shift,
     i.e. multiply by (-1)^{n-1} X^n / prod Z_j."""
@@ -501,15 +496,6 @@ class BraidWord:
     def __pow__(self, k: int) -> "BraidWord":
         base = self if k >= 0 else self.inverse()
         return BraidWord(base.letters * abs(k))
-
-    def free_reduce(self) -> "BraidWord":
-        out: list[int] = []
-        for t in self.letters:
-            if out and out[-1] == -t:
-                out.pop()
-            else:
-                out.append(t)
-        return BraidWord(tuple(out))
 
     def to_json(self) -> list[int]:
         return list(self.letters)

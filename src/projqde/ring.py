@@ -857,43 +857,32 @@ def _intpoly_exact_div(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _reduced_powers(order: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^k modulo the cyclotomic polynomial Phi_order for k = 0..order-1, each
+    as its (degree, coefficient) pairs, degrees below deg Phi_order."""
+    phi = cyclotomic_polynomial(order)
+    cur = [1] + [0] * (len(phi) - 2)
+    out = []
+    for _ in range(order):
+        out.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        # times x, with x^deg = -(phi_0 + phi_1 x + ...) as Phi_order is monic
+        top = cur[-1]
+        cur = [c - top * f for c, f in zip([0] + cur[:-1], phi)]
+    return tuple(out)
+
+
 def reduce_root_of_unity(p: LaurentPoly, name: str, order: int) -> LaurentPoly:
     """Canonical form of p given that variable `name` is a primitive
-    `order`-th root of unity: exponents mod order, then reduction modulo the
-    cyclotomic polynomial.  Zero output iff p vanishes at the root."""
+    `order`-th root of unity: each power of it replaced by its remainder
+    modulo the cyclotomic polynomial.  Zero output iff p vanishes at the root."""
     i = p.vars.index(name)
-    tm: dict[tuple[int, ...], Fraction] = {}
+    powers = _reduced_powers(order)
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for e, c in p.terms.items():
-        ne = list(e)
-        ne[i] = e[i] % order
-        ne = tuple(ne)
-        s = tm.get(ne, Fraction(0)) + c
-        if s == 0:
-            tm.pop(ne, None)
-        else:
-            tm[ne] = s
-    phi = cyclotomic_polynomial(order)
-    deg = len(phi) - 1
-    # Polynomial remainder in `name` with the other variables as coefficients.
-    groups: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for e, c in tm.items():
-        rest = e[:i] + e[i + 1 :]
-        groups.setdefault(rest, {})[e[i]] = c
-    out: dict[tuple[int, ...], Fraction] = {}
-    for rest, coeffs in groups.items():
-        top = max(coeffs)
-        work = [coeffs.get(k, Fraction(0)) for k in range(top + 1)]
-        for k in range(len(work) - 1, deg - 1, -1):
-            c = work[k]
-            if c == 0:
-                continue
-            work[k] = Fraction(0)
-            for j in range(deg):
-                work[k - deg + j] -= c * phi[j]
-        for k, c in enumerate(work):
-            if c != 0:
-                e = rest[:i] + (k,) + rest[i:]
-                out[e] = c
+        for j, cj in powers[e[i] % order]:
+            ne = e[:i] + (j,) + e[i + 1 :]
+            out[ne] = out.get(ne, 0) + c * cj
     return LaurentPoly(p.vars, out)
 
 

@@ -13,10 +13,10 @@ import pytest
 from projqde.cohomology import NumericContext
 from projqde.hypergeom import (
     QSolution,
+    SolutionSeries,
     b_theorem_check,
     contour_oracle,
     fundamental_matrix,
-    psi_J_series,
     psi_Q,
     scaled_element_asymptotic_ratio,
     solution_ode_residual,
@@ -229,7 +229,7 @@ def test_criterion_05_q_hypergeometric():
             assert solution_ode_residual(sol, q) <= 1e-8
         # leading term, closed form
         for J in range(1, n + 1):
-            s = psi_J_series(J, ctx, 40)
+            s = SolutionSeries(J, ctx, 40)
             c0 = s.coefficient(0)
             assert abs(c0[J - 1] - 1) < 1e-13
             assert all(abs(c0[i]) < 1e-13 for i in range(n) if i != J - 1)

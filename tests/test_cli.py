@@ -113,6 +113,9 @@ def test_bad_usage_exit_2(capsys):
         ["gram", "--n", "4", "--basis", "Qp", "--k", "40"],
         ["b-check", "--n", "2", "--z", "0.1,0.37", "--k", "300"],
         ["stokes", "--n", "4", "--sector", "vpp:-8"],
+        ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "9^9^9^9"],
+        ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "(X+Z1+Z2)^400"],
+        ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "((X+Z1+Z2)^4)^4"],
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv):

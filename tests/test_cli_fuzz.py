@@ -24,6 +24,9 @@ classes = st.one_of(
     exponents.map(lambda k: f"X^{k}"),
     exponents.map(lambda k: f"X^{k}*Z1"),
     exponents.map(lambda k: f"O({k})"),
+    exponents.map(lambda k: f"(X+Z1)^{k}"),
+    st.tuples(exponents, exponents).map(lambda ks: f"X^{ks[0]}^{ks[1]}"),
+    st.tuples(exponents, exponents).map(lambda ks: f"((X+Z1)^{ks[0]})^{ks[1]}"),
 )
 
 
@@ -112,6 +115,8 @@ MUTATE_X = ["mutate", "--n", "3", "--side", "left", "--pivot", "O(1)", "--target
 @example(MUTATE_X + ["X^40"])
 @example(MUTATE_X + ["X^60"])
 @example(MUTATE_X + ["X^100"])
+@example(["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "9^9^9^9"])
+@example(["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "(X+Z1+Z2)^400"])
 def test_argv_fuzz(argv):
     code, err, elapsed = run_limited(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -9,12 +9,12 @@ import pytest
 from projqde.cohomology import NumericContext
 from projqde.hypergeom import (
     QSolution,
+    SolutionSeries,
     analytic_comparison_matrix,
     asymptotic_ratio,
     b_theorem_check,
     contour_oracle,
     fundamental_matrix,
-    psi_J_series,
     psi_Q,
     psi_power,
     scaled_element_asymptotic_ratio,
@@ -32,7 +32,7 @@ CTX3 = NumericContext((0.1, 0.37 + 0.05j, -0.42))
 def test_leading_restrictions():
     n = 2
     for J in (1, 2):
-        s = psi_J_series(J, CTX2, 30)
+        s = SolutionSeries(J, CTX2, 30)
         c0 = s.coefficient(0)
         # leading coefficient is proportional to the J-th idempotent
         for i in range(n):

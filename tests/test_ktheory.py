@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projqde.ktheory import (
     BraidWord,
@@ -128,6 +129,27 @@ def test_chi_localization_cross_check(n):
     for f, g in pairs:
         closed = chi_pair(f, g, cross_check=True)
         assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+
+
+@st.composite
+def braid_images(draw):
+    """braid_act(w, B) for a random word w of length <= 3 and B the Beilinson
+    basis or a rescaled sorted basis Qpt twisted by |k| <= 1, at n = 3, 4."""
+    n = draw(st.sampled_from([3, 4]))
+    letters = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    word = BraidWord(tuple(draw(st.lists(letters, max_size=3))))
+    k = draw(st.sampled_from([None, -1, 0, 1]))
+    basis = beilinson_basis(n) if k is None else structured_basis("Qpt", k, n)
+    return braid_act(word, basis)
+
+
+@settings(max_examples=25, deadline=None)
+@given(braid_images())
+def test_chi_localization_on_braid_orbits(basis):
+    for f in basis.elements:
+        for g in basis.elements:
+            closed = chi_pair(f, g, cross_check=True)
+            assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
 
 
 def test_chi_sesquilinearity():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projqde.cohomology import NumericContext
 from projqde.hypergeom import QSolution, scaled_element_asymptotic_ratio
@@ -14,6 +15,7 @@ from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_r
 from projqde.qde import BranchContext
 from projqde.ring import LaurentMatrix, LaurentPoly, reduce_root_of_unity, sym_poly, zvars
 from projqde.stokes import (
+    FormalSolution,
     SectorId,
     _formal_monodromy_char_residual,
     antisymmetric_v_exact,
@@ -116,17 +118,50 @@ def test_gauge_substitution_orders():
 
 
 def test_formal_reduction_determinism_and_numeric_agreement():
-    a = formal_reduce_exact_rank2(3)
-    b = formal_reduce_exact_rank2(3)
+    a = formal_reduce_exact_rank2(6)
+    b = formal_reduce_exact_rank2(6)
     assert all(x == y for x, y in zip(a.coeffs, b.coeffs))
     z = (0.11, -0.23)
-    num = formal_reduce_numeric(2, z, 3)
+    num = formal_reduce_numeric(2, z, 6)
     vals = {"W": 1j, "z1": z[0], "z2": z[1]}
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         exact_k = np.array(
             [[a.coeffs[k][i, j].eval(vals) for j in range(2)] for i in range(2)]
         )
-        assert np.allclose(exact_k, num.coeffs[k], atol=1e-10), k
+        err = np.max(np.abs(exact_k - num.coeffs[k]))
+        assert err <= 1e-12 * np.max(np.abs(exact_k)), k
+
+
+@st.composite
+def resonance_free_points(draw):
+    """(n, z) with n = 2..4 and complex z whose pairwise differences stay away
+    from the integers."""
+    n = draw(st.integers(2, 4))
+    parts = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    z = [complex(draw(parts), draw(parts)) for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            d = z[i] - z[j]
+            assume(abs(d.imag) > 1e-3 or abs(d.real - round(d.real)) > 1e-3)
+    return n, z
+
+
+@settings(max_examples=40, deadline=None)
+@given(resonance_free_points())
+def test_numeric_formal_reduction_solves_gauge_equation(point):
+    n, z = point
+    sol = formal_reduce_numeric(n, z, 8)
+    assert gauge_substitution_residual_orders(sol, 8) == [True] * 8
+
+
+def test_gauge_residual_rejects_perturbed_coefficients():
+    # a diagonal change of F_2 commutes with U: order 2 still holds, the
+    # diagonal equation at order 3 and the hat A_2 term at order 4 see it
+    for sol in (formal_reduce_exact_rank2(4), formal_reduce_numeric(3, (0.1, 0.37, -0.42), 4)):
+        coeffs = list(sol.coeffs)
+        coeffs[2] = coeffs[2] + coeffs[0] * Fraction(1, 10)
+        bad = FormalSolution(sol.n, sol.level, sol.u, sol.cdiag, coeffs, sol.ahat)
+        assert gauge_substitution_residual_orders(bad, 4) == [True, True, False, False]
 
 
 # -- shift-operator normal form ---------------------------------------------------------
