@@ -12,6 +12,7 @@ import argparse
 import ast
 import cmath
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cohomology, hypergeom, ktheory, qde, qkz, stokes
-from .ring import LaurentMatrix, LaurentPoly
+from .ring import LaurentMatrix, LaurentPoly, evars
 from .ktheory import BraidWord
 
 
@@ -37,7 +38,8 @@ def _complex_json(w: complex) -> list[str]:
 
 def to_jsonable(obj):
     if isinstance(obj, LaurentPoly):
-        return obj.to_json()
+        n = len(obj.vars)
+        return (ktheory.to_z(obj, n) if obj.vars == evars(n) else obj).to_json()
     if isinstance(obj, LaurentMatrix):
         return [[to_jsonable(obj[i, j]) for j in range(obj.cols)] for i in range(obj.rows)]
     if isinstance(obj, np.ndarray):
@@ -102,37 +104,53 @@ _CLASS_TOKEN = re.compile(r"^[0-9XZy\s\+\-\*/\(\)\^]*$")
 
 
 def _check_exponent(what: str, k: int, limit: int) -> None:
-    """Reduction of O(k) = X^{-k} to the basis O(0)..O(n-1), and the exact
-    determinants of a Stokes sector, take time growing fast with |k|: X
+    """Reduction of O(k) = X^{-k} to the basis O(0)..O(n-1), which the bases
+    of a Stokes sector need too, takes time growing fast with |k|: X
     exponents, line-bundle indices and twists must satisfy |k| <= 2n, sector
     indices |k| <= n."""
     if abs(k) > limit:
         raise ValueError(f"{what} out of range: |k| must be at most {limit}")
 
 
-def _check_powers(tree: ast.AST, limit: int) -> None:
+# (X+Z1+..+Z4)^8 has 495 terms; a product of four took 9.4 s to evaluate
+CLASS_TERM_LIMIT = 100_000
+
+
+def _check_class_expr(tree: ast.AST, limit: int) -> None:
     """Each power p^k of a class expression takes an integer literal k with
-    |k| <= limit and a base p that holds no power: the degree of the class is
-    then at most limit times the length of the expression, where a chain or
-    tower of powers would raise it exponentially."""
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)):
-            continue
-        try:
-            k = ast.literal_eval(node.right)
-        except ValueError:
-            k = None
-        if type(k) is not int:
-            raise ValueError("an exponent must be an integer literal")
-        _check_exponent(f"exponent {k}", k, limit)
-        if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow) for sub in ast.walk(node.left)):
-            raise ValueError("the base of a power must not hold a power")
+    |k| <= limit and a base p that holds no power, as a tower of powers
+    raises the degree exponentially.  No value formed may have more than
+    CLASS_TERM_LIMIT terms: a sum has at most those of both sides, a product
+    their product, and p^k of a t-term p at most C(t + |k| - 1, |k|).
+    Bottom-up, without recursion: a sum of thousands of terms nests deep."""
+    size: dict[ast.AST, int] = {}
+    for node in reversed(list(ast.walk(tree))):
+        bound = max((size[c] for c in ast.iter_child_nodes(node)), default=1)
+        if isinstance(node, ast.BinOp):
+            a, b = size[node.left], size[node.right]
+            bound = a + b if isinstance(node.op, (ast.Add, ast.Sub)) else a * b
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            try:
+                k = ast.literal_eval(node.right)
+            except ValueError:
+                k = None
+            if type(k) is not int:
+                raise ValueError("an exponent must be an integer literal")
+            _check_exponent(f"exponent {k}", k, limit)
+            if any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow) for sub in ast.walk(node.left)):
+                raise ValueError("the base of a power must not hold a power")
+            bound = math.comb(a + abs(k) - 1, abs(k))
+        size[node] = min(bound, CLASS_TERM_LIMIT + 1)
+    if size[tree] > CLASS_TERM_LIMIT:
+        raise ValueError(f"it may build more than {CLASS_TERM_LIMIT} terms")
 
 
 def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     """Tiny expression syntax for Laurent polynomials in X, Z1..Zn
     (also O(i) for line-bundle classes, |i| <= 2n); ^ means power, with an
-    integer literal exponent |k| <= 2n and a base without a power."""
+    integer literal exponent |k| <= 2n and a base without a power.  An
+    expression that may build more than CLASS_TERM_LIMIT terms is refused
+    before it is evaluated."""
     text = text.strip()
     m = re.fullmatch(r"O\((-?\d+)\)", text)
     if m:
@@ -147,7 +165,7 @@ def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     for i in range(1, n + 1):
         names[f"Z{i}"] = LaurentPoly.variable(vs, f"Z{i}")
     try:
-        _check_powers(ast.parse(expr, mode="eval"), 2 * n)
+        _check_class_expr(ast.parse(expr, mode="eval"), 2 * n)
         value = eval(expr, {"__builtins__": {}}, names)  # noqa: S307 - guarded charset
     except Exception as exc:
         raise ValueError(f"cannot parse class expression {text!r}: {exc}") from exc
@@ -460,6 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, order=40, tol=1e-6):
+        # a braid word -1,2 or parameters -0.1,0.3 are values, not options
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--order", type=int, default=order)
         p.add_argument("--tol", type=float, default=tol)

@@ -101,13 +101,6 @@ class SolutionSeries:
         head = self.prefactor * cmath.exp(self.exponent * (lq - 1j * cmath.pi * self.n))
         return head * self._sum(q, 1) / q
 
-    def leading_term(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
-        head = self.prefactor * cmath.exp(self.exponent * (lq - 1j * cmath.pi * self.n))
-        out = np.zeros(self.n, dtype=complex)
-        out[self.J - 1] = head
-        return out
-
 
 def _char_values(ctx: NumericContext) -> list[complex]:
     return [cmath.exp(2j * cmath.pi * w) for w in ctx.z]

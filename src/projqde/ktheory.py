@@ -17,9 +17,10 @@ The coordinates lie in one of two coefficient rings, chosen by the input:
 
 Arithmetic that mixes the two expands E in Z.  The defining relation
 prod_j (X - Z_j) = sum_k (-1)^k e_k X^{n-k} has its coefficients in R(GL_n),
-so every O(i) has coordinates there.  Coordinates in the monomial basis
-X^0..X^{n-1} (JSON, cohomology, Stokes matrices) are derived on demand and
-expanded in Z, and so are the values of the pairing.
+so every O(i) has coordinates there.  Gram matrices and the Diophantine
+checks stay in the ring of the basis; coordinates in the monomial basis
+X^0..X^{n-1} (JSON, cohomology) and the values of `chi_pair` are expanded in
+Z, and so is what the CLI prints.
 
 On top of the algebra: the sesquilinear Euler pairing chi, Gram matrices,
 left/right mutations, the braid-group action on exceptional bases, dual bases,
@@ -39,6 +40,7 @@ from .ring import (
     LaurentPoly,
     RationalFn,
     char_poly,
+    evars,
     sym_poly,
     zvars,
 )
@@ -46,11 +48,6 @@ from .ring import (
 
 def xz_vars(n: int) -> tuple[str, ...]:
     return ("X",) + zvars(n)
-
-
-def evars(n: int) -> tuple[str, ...]:
-    """Variables E1..En of the representation ring, Ek standing for e_k(Z)."""
-    return zvars(n, "E")
 
 
 def _e(n: int, k: int) -> LaurentPoly:
@@ -74,28 +71,21 @@ def _e_monomial_in_z(n: int, exps: tuple[int, ...]) -> LaurentPoly:
     return LaurentPoly.monomial(zvars(n), (exps[-1],) * n)
 
 
-def _to_z(p: LaurentPoly, n: int) -> LaurentPoly:
-    """Expand an element of the representation ring (in E1..En) in Z1..Zn; a
-    polynomial already in Z1..Zn is returned as it is."""
-    if p.vars == zvars(n):
+def to_z(p: LaurentPoly, n: int) -> LaurentPoly:
+    """Expand a polynomial in (V..., E1..En), for leading variables V such as
+    LAM, in (V..., Z1..Zn); one over Z1..Zn is returned as it is."""
+    k = len(p.vars) - n
+    head, ring = p.vars[:k], p.vars[k:]
+    if ring == zvars(n):
         return p
-    if p.vars != evars(n):
-        raise ValueError(f"expected a polynomial in E1..En or Z1..Zn, got {p.vars}")
+    if ring != evars(n):
+        raise ValueError(f"expected a polynomial over E1..En or Z1..Zn, got {p.vars}")
     tm: dict = {}
     for e, c in p.terms.items():
-        for ze, zc in _e_monomial_in_z(n, e).terms.items():
-            tm[ze] = tm.get(ze, 0) + c * zc
-    return LaurentPoly(zvars(n), tm)
-
-
-def _dual(p: LaurentPoly) -> LaurentPoly:
-    """The involution Z_j -> Z_j^{-1}; on E1..En it is e_k -> e_{n-k}/e_n,
-    which maps monomials to monomials."""
-    if p.vars != evars(len(p.vars)):
-        return p.dual()
-    return LaurentPoly(
-        p.vars, {e[-2::-1] + (-e[-1] - sum(e[:-1]),): c for e, c in p.terms.items()}
-    )
+        for ze, zc in _e_monomial_in_z(n, e[k:]).terms.items():
+            key = e[:k] + ze
+            tm[key] = tm.get(key, 0) + c * zc
+    return LaurentPoly(head + zvars(n), tm)
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +98,7 @@ def _o_power_coords(vs: tuple[str, ...], i: int) -> tuple[LaurentPoly, ...]:
     """
     n = len(vs)
     if vs == zvars(n):
-        return tuple(_to_z(c, n) for c in _o_power_coords(evars(n), i))
+        return tuple(to_z(c, n) for c in _o_power_coords(evars(n), i))
     if 0 <= i < n:
         return tuple(
             LaurentPoly.one(vs) if j == i else LaurentPoly.zero(vs) for j in range(n)
@@ -148,7 +138,7 @@ def _h_dual(vs: tuple[str, ...], k: int) -> LaurentPoly:
     # h_k = sum_{i=1..min(k,n)} (-1)^{i-1} e_i h_{k-i}, taken at Z^{-1}
     acc = LaurentPoly.zero(vs)
     for i in range(1, min(k, n) + 1):
-        acc = acc + _dual(_e(n, i)) * _h_dual(vs, k - i) * (-1) ** (i - 1)
+        acc = acc + _e(n, i).dual() * _h_dual(vs, k - i) * (-1) ** (i - 1)
     return acc
 
 
@@ -210,7 +200,7 @@ class KClass:
         """The same class with its coefficients expanded in Z1..Zn."""
         if self.ring == zvars(self.n):
             return self
-        return KClass._of(_to_z(c, self.n) for c in self.ocoords)
+        return KClass._of(to_z(c, self.n) for c in self.ocoords)
 
     def _common(self, other: "KClass") -> tuple["KClass", "KClass"]:
         """Both classes over one ring; mixing E and Z expands E in Z."""
@@ -236,7 +226,7 @@ class KClass:
         keeps its ring) or in Z1..Zn (the class is expanded in Z)."""
         f = self
         if rho.vars != f.ring:
-            f, rho = f._in_z(), _to_z(rho, f.n)
+            f, rho = f._in_z(), to_z(rho, f.n)
         return KClass._of(c * rho for c in f.ocoords)
 
     def __eq__(self, other) -> bool:
@@ -257,7 +247,7 @@ class KClass:
         """Coordinates in the monomial basis X^0..X^{n-1}, expanded in Z1..Zn."""
         # X^j = O(-j) is O(n-1-j) twisted by O(1-n)
         shifted = self.twist(1 - self.n).ocoords
-        return tuple(_to_z(c, self.n) for c in reversed(shifted))
+        return tuple(to_z(c, self.n) for c in reversed(shifted))
 
     def to_laurent(self) -> LaurentPoly:
         vs = xz_vars(self.n)
@@ -312,7 +302,7 @@ def _chi(f: KClass, g: KClass) -> LaurentPoly:
     column: sum_b g_b (sum_{a<=b} f_a^* h_{b-a}(Z^{-1}))."""
     f, g = f._common(g)
     vs = f.ring
-    fd = [_dual(c) for c in f.ocoords]
+    fd = [c.dual() for c in f.ocoords]
     acc = LaurentPoly.zero(vs)
     for b, gb in enumerate(g.ocoords):
         if gb.is_zero():
@@ -331,7 +321,7 @@ def chi_pair(f: KClass, g: KClass, cross_check: bool = False) -> LaurentPoly:
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
     and zero otherwise.  With cross_check the fixed-point localization formula
     is evaluated as a rational function and compared."""
-    acc = _to_z(_chi(f, g), f.n)
+    acc = to_z(_chi(f, g), f.n)
     if cross_check:
         loc = chi_via_localization(f, g)
         if not (loc - RationalFn(acc)).is_zero():
@@ -425,14 +415,6 @@ class ExceptionalBasis:
 
     __hash__ = None
 
-    def with_tags(self, tags) -> "ExceptionalBasis":
-        return ExceptionalBasis(self.elements, self.labels, tags, verify=False)
-
-    def coordinate_matrix(self) -> LaurentMatrix:
-        """Columns are the X^j-coordinates of the basis elements."""
-        cols = [e.coeffs for e in self.elements]
-        return LaurentMatrix([[c[j] for c in cols] for j in range(self.n)])
-
     def to_json(self) -> dict:
         return {
             "elements": [e.to_json() for e in self.elements],
@@ -458,8 +440,12 @@ def beilinson_basis(n: int) -> ExceptionalBasis:
 
 
 def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
+    """G_ij = chi(e_i, e_j) over the coefficient ring of the basis: E1..En
+    when every element is equivariant, Z1..Zn otherwise."""
     els = basis.elements
-    return LaurentMatrix([[chi_pair(ei, ej) for ej in els] for ei in els])
+    if any(e.ring != els[0].ring for e in els):
+        els = [e._in_z() for e in els]
+    return LaurentMatrix([[_chi(ei, ej) for ej in els] for ei in els])
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
@@ -469,7 +455,7 @@ def mutate(side: str, e: KClass, f: KClass) -> KClass:
     if side == "left":
         return f - e.scale(_chi(e, f))
     if side == "right":
-        return f - e.scale(_dual(_chi(f, e)))
+        return f - e.scale(_chi(f, e).dual())
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
@@ -598,41 +584,50 @@ def canonical_matrix(gram: LaurentMatrix) -> LaurentMatrix:
 
 
 def canonical_char_poly(gram: LaurentMatrix, n: int) -> LaurentPoly:
-    """det(lambda - G^{-1} G†) as a Laurent polynomial in (LAM, Z1..Zn) for the
-    rank-n Gram matrix G, computed as det(lambda G - G†) / det G."""
+    """det(lambda - G^{-1} G†) as a Laurent polynomial in (LAM,) + the ring of
+    the rank-n Gram matrix G, computed as det(lambda G - G†) / det G."""
     return char_poly(gram, gram.dagger())
 
 
+@lru_cache(maxsize=None)
+def _power_elementary(n: int) -> tuple[LaurentPoly, ...]:
+    """e_j(Z_1^n, ..., Z_n^n) for j = 0..n over E1..En: (-1)^j times the
+    coefficient of lambda^{n-j} in det(lambda - T), T the matrix of X^n
+    (`KClass.twist(n)`) on O(0)..O(n-1), whose eigenvalues are the Z_i^n."""
+    vs = evars(n)
+    t = LaurentMatrix([list(row) for row in zip(*(_o_power_coords(vs, b - n) for b in range(n)))])
+    cp = char_poly(LaurentMatrix.identity(n, vs), t)
+    return tuple(cp.coefficient(LAMBDA, n - j) * (-1) ** j for j in range(n + 1))
+
+
 def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:
-    """prod_i (lambda - scale Z_i^n) in (LAM, Z1..Zn), expanded through the
-    elementary symmetric functions: sum_j lambda^{n-j} (-scale)^j e_j(Z^n)."""
-    vs = (LAMBDA,) + zvars(n)
+    """prod_i (lambda - scale Z_i^n) in (LAM, E1..En) for scale over E1..En,
+    through the elementary symmetric functions:
+    sum_j lambda^{n-j} (-scale)^j e_j(Z^n)."""
+    vs = (LAMBDA,) + scale.vars
     acc = LaurentPoly.zero(vs)
-    for j in range(n + 1):
-        coeff = ((-scale) ** j * _power_sum(n, j)).with_vars(vs)
+    for j, ej in enumerate(_power_elementary(n)):
+        coeff = ((-scale) ** j * ej).with_vars(vs)
         acc = acc + coeff * LaurentPoly.variable(vs, LAMBDA, n - j)
     return acc
 
 
 def canonical_spectrum_poly(n: int) -> LaurentPoly:
-    """prod_i (lambda - (-1)^{n-1} Z_i^n / s_n(Z)), the characteristic
-    polynomial the canonical operator must have."""
-    return spectrum_poly(n, LaurentPoly.monomial(zvars(n), (-1,) * n, (-1) ** (n - 1)))
+    """prod_i (lambda - (-1)^{n-1} Z_i^n / e_n(Z)) in (LAM, E1..En), the
+    characteristic polynomial the canonical operator must have."""
+    return spectrum_poly(n, _en_power(n, -1, (-1) ** (n - 1)))
 
 
 def dioph_residual(gram: LaurentMatrix, n: int) -> LaurentPoly:
     """Difference between the canonical-operator characteristic polynomial and
-    its forced symmetric-function form; identically zero on Gram matrices of
-    bases of the K-theory algebra."""
+    its forced symmetric-function form, over the ring of the Gram matrix;
+    identically zero on Gram matrices of bases of the K-theory algebra."""
     if gram.rows != n or gram.cols != n:
         raise ValueError("Gram matrix size does not match rank")
-    return canonical_char_poly(gram, n) - canonical_spectrum_poly(n)
-
-
-def _power_sum(n: int, j: int) -> LaurentPoly:
-    """e_j(Z_1^n, ..., Z_n^n) as a Laurent polynomial."""
-    ej = sym_poly("elementary", j, n)
-    return LaurentPoly(zvars(n), {tuple(x * n for x in e): c for e, c in ej.terms.items()})
+    target = canonical_spectrum_poly(n)
+    if gram.vars == zvars(n):
+        target = to_z(target, n)
+    return canonical_char_poly(gram, n) - target
 
 
 def markov_residuals_rank3(gram: LaurentMatrix) -> list[LaurentPoly]:
@@ -642,13 +637,15 @@ def markov_residuals_rank3(gram: LaurentMatrix) -> list[LaurentPoly]:
         raise ValueError("need a 3x3 unitriangular Gram matrix")
     n = 3
     vs = zvars(n)
+    gram = gram.map(lambda p: to_z(p, n))
+    power_elementary = [to_z(p, n) for p in _power_elementary(n)]
     a, b, c = gram[0, 1], gram[0, 2], gram[1, 2]
     ad, bd, cd = a.dual(), b.dual(), c.dual()
     sn_inv = LaurentPoly.monomial(vs, (-1,) * n)
     lhs1 = a * ad + b * bd + c * cd - a * bd * c
-    rhs1 = LaurentPoly.constant(vs, 3) - _power_sum(n, 1) * sn_inv
+    rhs1 = LaurentPoly.constant(vs, 3) - power_elementary[1] * sn_inv
     lhs2 = a * ad + b * bd + c * cd - ad * b * cd
-    rhs2 = LaurentPoly.constant(vs, 3) - _power_sum(n, 2) * sn_inv * sn_inv
+    rhs2 = LaurentPoly.constant(vs, 3) - power_elementary[2] * sn_inv * sn_inv
     return [lhs1 - rhs1, lhs2 - rhs2]
 
 
@@ -659,6 +656,8 @@ def markov_residuals_rank4(gram: LaurentMatrix) -> list[LaurentPoly]:
         raise ValueError("need a 4x4 unitriangular Gram matrix")
     n = 4
     vs = zvars(n)
+    gram = gram.map(lambda p: to_z(p, n))
+    power_elementary = [to_z(p, n) for p in _power_elementary(n)]
     a, b, c = gram[0, 1], gram[0, 2], gram[0, 3]
     d, e, f = gram[1, 2], gram[1, 3], gram[2, 3]
     ad, bd, cd, dd, ed, fd = (p.dual() for p in (a, b, c, d, e, f))
@@ -667,7 +666,7 @@ def markov_residuals_rank4(gram: LaurentMatrix) -> list[LaurentPoly]:
 
     # e_3(Z^4)/s_n(Z)^3 equals sum_i prod_{j!=i} Z_j / Z_i^3
     lhs1 = norm2 - ad * b * dd - ad * c * ed - bd * c * fd - dd * e * fd + ad * c * dd * fd
-    rhs1 = LaurentPoly.constant(vs, 4) + _power_sum(n, 3) * LaurentPoly.monomial(
+    rhs1 = LaurentPoly.constant(vs, 4) + power_elementary[3] * LaurentPoly.monomial(
         vs, (-3,) * n
     )
 
@@ -678,12 +677,12 @@ def markov_residuals_rank4(gram: LaurentMatrix) -> list[LaurentPoly]:
         - a * bd * e * fd - ad * b * ed * f - b * cd * dd * e - bd * c * d * ed
         + a * ad * f * fd + b * bd * e * ed + c * cd * d * dd
     )
-    rhs2 = LaurentPoly.constant(vs, -6) + _power_sum(n, 2) * LaurentPoly.monomial(
+    rhs2 = LaurentPoly.constant(vs, -6) + power_elementary[2] * LaurentPoly.monomial(
         vs, (-2,) * n
     )
 
     lhs3 = norm2 - a * bd * d - a * cd * e - b * cd * f - d * ed * f + a * cd * d * f
-    rhs3 = LaurentPoly.constant(vs, 4) + _power_sum(n, 1) * sn_inv
+    rhs3 = LaurentPoly.constant(vs, 4) + power_elementary[1] * sn_inv
     return [lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3]
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -94,18 +93,19 @@ def coefficient_matrix(n: int, z: Sequence[complex], q: complex) -> np.ndarray:
 def levelt_coefficients(n: int, z: Sequence | None, order: int) -> list:
     """G_0 = 1, G_1..G_order of the Levelt gauge, over the field of z.
 
-    Recursion: (G_{k+1})_{ij} = -(M G_k)_{ij} / (z_i - z_j - (k+1)) with
-    M = D A0 D^{-1}, the rank-one matrix whose rows all equal the last row r
-    of D^{-1}; so (M G_k)_{ij} = (r G_k)_j and a step costs O(n^2)."""
+    Recursion: (G_k)_{ij} = -(M G_{k-1})_{ij} / (z_i - z_j - k) with
+    M = D A0 D^{-1}, whose rows all equal the last row r of D^{-1}; so
+    (M G_{k-1})_{ij} = c_j with c = r G_{k-1}.  As r_i = 1/prod_{m != i}
+    (z_i - z_m), sum_i r_i / (z_i - t) = -1/prod_m (t - z_m), and
+    r G_k = (c_j / prod_m (z_j - z_m + k))_j: products, where the sum over i
+    cancels when the z_i are close and r is large."""
     z = parameters(n, z)
     _, dinv = vandermonde(n, z)
-    r = [dinv[n - 1, j] for j in range(n)]
-    gk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = [as_matrix(gk, z[0])]
+    c = [dinv[n - 1, j] for j in range(n)]  # r G_0
+    coeffs = [as_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], z[0])]
     for k in range(1, order + 1):
-        rg = [sum(map(mul, r, col)) for col in zip(*gk)]
-        gk = [[-rg[j] / (z[i] - z[j] - k) for j in range(n)] for i in range(n)]
-        coeffs.append(as_matrix(gk, z[0]))
+        coeffs.append(as_matrix([[-c[j] / (z[i] - z[j] - k) for j in range(n)] for i in range(n)], z[0]))
+        c = [c[j] / math.prod(z[j] - w + k for w in z) for j in range(n)]
     return coeffs
 
 

@@ -22,6 +22,11 @@ def zvars(n: int, prefix: str = "Z") -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, n + 1))
 
 
+def evars(n: int) -> tuple[str, ...]:
+    """Variables E1..En of the representation ring R(GL_n), Ek = e_k(Z)."""
+    return zvars(n, "E")
+
+
 def _norm_coeff(c):
     """Exact coefficients are stored as int when possible, Fraction otherwise;
     plain integer arithmetic is an order of magnitude faster."""
@@ -240,10 +245,14 @@ class LaurentPoly:
     # -- structural operations ---------------------------------------------------
 
     def dual(self) -> "LaurentPoly":
-        """The involution v -> v^{-1} on every variable (negate exponents)."""
-        return LaurentPoly._raw(
-            self.vars, {tuple(-x for x in e): c for e, c in self.terms.items()}
-        )
+        """The involution Z_j -> Z_j^{-1}: e_k -> e_{n-k}/e_n over E1..En, a
+        monomial to a monomial, and v -> v^{-1} on any other variables."""
+        vs = self.vars
+        if vs and vs[0] == "E1" and vs == evars(len(vs)):
+            return LaurentPoly._raw(
+                vs, {e[-2::-1] + (-e[-1] - sum(e[:-1]),): c for e, c in self.terms.items()}
+            )
+        return LaurentPoly._raw(vs, {tuple(-x for x in e): c for e, c in self.terms.items()})
 
     def with_vars(self, vars: Sequence[str]) -> "LaurentPoly":
         """Embed into a larger variable context (superset of current vars)."""
@@ -537,12 +546,6 @@ class RationalFn:
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFn is immutable")
-
-    @classmethod
-    def of(cls, p) -> "RationalFn":
-        if isinstance(p, RationalFn):
-            return p
-        return cls(p)
 
     def _pair(self, other) -> "RationalFn":
         if isinstance(other, RationalFn):

@@ -22,8 +22,10 @@ formed.  Their numeric forms (`e_matrix`, the hat A_j of
 matrices evaluated at W = e^{i pi/n} and at z.  The formal gauge recursion and
 its order-by-order residual run over the field of their input: Laurent
 polynomials in (W, z1, z2), reduced modulo Phi_4(W) after each step, for the
-exact rank-2 reduction, and complex numbers at any rank.  Stokes matrices are
-exact over Z1..Zn; the checks at the unity roots reduce modulo Phi_n(V).
+exact rank-2 reduction, and complex numbers at any rank.  Stokes and Gram
+matrices and the identities between them are exact over R(GL_n), in E1..En
+with Ek = e_k(Z), where the Stokes bases have their line-bundle coordinates;
+the CLI expands them in Z1..Zn only to print them.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ from .ktheory import (
     ExceptionalBasis,
     braid_act,
     braid_constants,
-    canonical_char_poly,
-    canonical_spectrum_poly,
+    dioph_residual,
     gram_matrix,
     spectrum_poly,
     structured_basis,
@@ -54,9 +55,9 @@ from .ring import (
     LaurentPoly,
     char_poly,
     elementary_symmetric,
+    evars,
     reduce_root_of_unity,
     sym_poly,
-    zvars,
 )
 
 W = "W"  # the adjoined root of unity, of order 2n unless stated otherwise
@@ -77,11 +78,6 @@ class SectorId:
     def __post_init__(self):
         if self.kind not in ("Vprime", "Vdprime"):
             raise ValueError("kind must be 'Vprime' or 'Vdprime'")
-
-    def phi_range(self, n: int) -> tuple[float, float]:
-        if self.kind == "Vprime":
-            return (self.k / n - 0.5 - 0.5 / n, self.k / n)
-        return (self.k / n - 0.5 - 1.0 / n, self.k / n - 0.5 / n)
 
     def rotate_half(self, n: int) -> "SectorId":
         """Image under s -> e^{i pi} s (phi decreases by 1/2)."""
@@ -408,30 +404,31 @@ def stokes_normalization(sector: SectorId, ctx: NumericContext) -> np.ndarray:
     return out
 
 
-def _columns_by_tag(basis: ExceptionalBasis, tag_order: Sequence[int]) -> LaurentMatrix:
-    mat = basis.coordinate_matrix()
+def _columns_by_tag(basis: ExceptionalBasis, tag_order: Sequence[int], twist: int) -> LaurentMatrix:
+    """Columns: the line-bundle coordinates of the elements times X^twist."""
     pos = {t: i for i, t in enumerate(basis.eigen_tags)}
-    cols = [pos[t] for t in tag_order]
-    return LaurentMatrix(
-        [[mat[i, c] for c in cols] for i in range(basis.n)]
-    )
+    cols = [basis.elements[pos[t]].twist(twist).ocoords for t in tag_order]
+    return LaurentMatrix([[c[i] for c in cols] for i in range(basis.n)])
 
 
 def stokes_matrices(sector: SectorId, n: int) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """S1, S2 in lexicographic order, as exact coordinate matrices expressing
-    the half-turn (and full-turn) Stokes bases in terms of the sector's basis.
-    Entries are Laurent polynomials in the exponentiated parameters (written in
-    the Z variables).  Upper/lower unitriangularity is asserted."""
-    eps0 = stokes_basis(sector, n)
-    eps1 = stokes_basis(sector.rotate_half(n), n)
-    eps2 = stokes_basis(sector.rotate_half(n).rotate_half(n), n)
-    tag_order = list(reversed(eps0.eigen_tags))
-    a0 = _columns_by_tag(eps0, tag_order)
-    a1 = _columns_by_tag(eps1, tag_order)
-    a2 = _columns_by_tag(eps2, tag_order)
-    a0_inv = a0.inverse()
-    s1 = a0_inv * a1
-    s2 = a1.inverse() * a2
+    """S1 = A0^{-1} A1 and S2 = A1^{-1} A2 over E1..En, A_i the line-bundle
+    coordinates of the sector's basis and its half-turn images.  Other
+    coordinates (X-powers, a common twist) are P A_i and P cancels.  A
+    sector basis with index k is made of O(-k-n+1)..O(-k) and det
+    characters, so each quotient twists both bases by X^{-(k+n-1)} of the one
+    it inverts, whose coordinates then are monomials.  Upper/lower
+    unitriangularity is asserted."""
+    sectors = [sector, sector.rotate_half(n), sector.rotate_half(n).rotate_half(n)]
+    bases = [stokes_basis(s, n) for s in sectors]
+    tag_order = list(reversed(bases[0].eigen_tags))
+
+    def quotient(i: int) -> LaurentMatrix:
+        twist = -(sectors[i].k + n - 1)
+        a, b = (_columns_by_tag(bases[j], tag_order, twist) for j in (i, i + 1))
+        return a.inverse() * b
+
+    s1, s2 = quotient(0), quotient(1)
     if not s1.is_upper_unitriangular():
         raise ArithmeticError("first Stokes matrix is not upper unitriangular (ordering bug)")
     if not s2.is_lower_unitriangular():
@@ -449,24 +446,18 @@ def half_turn_is_left_dual(sector: SectorId, n: int) -> bool:
 
 
 def gram_stokes_check(sector: SectorId, n: int) -> dict:
-    """The central identities: S1 = J (G^dag)^{-1} J and S2 = J G J for the
-    Gram matrix G of the sector's exceptional basis, plus S2 = (S1^dag)^{-1}
-    and the characteristic-polynomial constraint on S1^dag S1^{-1}."""
+    """The central identities as products, for the Gram matrix G of the
+    sector's basis: S1 J G^dag J = 1, S2 = J G J and S2 S1^dag = 1, plus the
+    characteristic polynomials of G^{-1} G^dag and of the formal monodromy."""
     s1, s2 = stokes_matrices(sector, n)
     eps0 = stokes_basis(sector, n)
     g = gram_matrix(eps0)
-    vs = zvars(n)
-    j = LaurentMatrix(
-        [
-            [LaurentPoly.constant(vs, 1 if a + b == n - 1 else 0) for b in range(n)]
-            for a in range(n)
-        ]
-    )
-    ok_s1 = s1 == j * g.dagger().inverse() * j
+    one = LaurentMatrix.identity(n, g.vars)
+    j = LaurentMatrix([[one[a, n - 1 - b] for b in range(n)] for a in range(n)])
+    ok_s1 = s1 * j * g.dagger() * j == one
     ok_s2 = s2 == j * g * j
-    ok_pair = s2 == s1.dagger().inverse()
-    char = canonical_char_poly(s1, n)
-    ok_char = (char - canonical_spectrum_poly(n)).is_zero()
+    ok_pair = s2 * s1.dagger() == one
+    ok_char = dioph_residual(g, n).is_zero()
     mono = _formal_monodromy_char_residual(s1, s2, n)
     return {
         "sector": sector,
@@ -482,10 +473,10 @@ def gram_stokes_check(sector: SectorId, n: int) -> dict:
 
 
 def _formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int) -> LaurentPoly:
-    """det(lambda - (-1)^{n-1} s_n(Z) (S1 S2)^{-1}) - prod_j (lambda - Z_j^n):
+    """det(lambda - (-1)^{n-1} e_n(Z) (S1 S2)^{-1}) - prod_j (lambda - Z_j^n):
     the n-th power of the regular-point monodromy seen at infinity."""
-    vs = zvars(n)
-    sn = LaurentPoly.monomial(vs, (1,) * n, (-1) ** (n - 1))
+    vs = evars(n)
+    sn = LaurentPoly.variable(vs, f"E{n}") * (-1) ** (n - 1)
     char = char_poly(s1 * s2, LaurentMatrix.identity(n, vs) * sn)
     return char - spectrum_poly(n, LaurentPoly.one(vs))
 
@@ -537,25 +528,16 @@ def stirling_value_checks(n: int) -> bool:
     return True
 
 
-def specialize_to_unity_roots(p: LaurentPoly, n: int) -> LaurentPoly:
-    """Substitute Z_m -> V^{m-1} with V a formal primitive n-th root of unity
-    and reduce; the result lives in (V,) and is zero iff p vanishes there."""
-    vs = ("V",) + zvars(n)
-    q = p.with_vars(vs)
-    for m in range(1, n + 1):
-        e = [0] * (n + 1)
-        e[0] = m - 1
-        q = q.substitute_monomial(f"Z{m}", 1, tuple(e))
-    q = q.drop_vars(zvars(n))
-    return reduce_root_of_unity(q, "V", n)
+def _at_unity_roots(p: LaurentPoly, n: int):
+    """p over E1..En at Z_m = V^{m-1}, V a primitive n-th root of unity: a
+    rational number, as e_k = 0 there for 0 < k < n and e_n = (-1)^{n-1}."""
+    return sum(c * (-1) ** ((n - 1) * e[-1] % 2) for e, c in p.terms.items() if not any(e[:-1]))
 
 
 def _identity_at_unity(m: LaurentMatrix, n: int) -> bool:
     """m specializes to the identity at Z_m = V^{m-1}, exactly."""
     return all(
-        (specialize_to_unity_roots(m[a, b], n) - (1 if a == b else 0)).is_zero()
-        for a in range(n)
-        for b in range(n)
+        _at_unity_roots(m[a, b], n) == (1 if a == b else 0) for a in range(n) for b in range(n)
     )
 
 

@@ -93,8 +93,9 @@ def mutated_bases(n: int, count: int = 10):
     return out
 
 
-def j_matrix(n: int) -> LaurentMatrix:
-    vs = zvars(n)
+def j_matrix(vs: tuple[str, ...]) -> LaurentMatrix:
+    """The antidiagonal matrix J over the ring with variables vs."""
+    n = len(vs)
     return LaurentMatrix(
         [
             [LaurentPoly.constant(vs, 1 if a + b == n - 1 else 0) for b in range(n)]
@@ -149,7 +150,7 @@ def test_criterion_02_braid_algebra():
                     assert chi_pair(left.elements[k - 1], basis.elements[h - 1]) == want
             # Gram of the dual
             g = gram_matrix(basis)
-            j = j_matrix(n)
+            j = j_matrix(g.vars)
             assert gram_matrix(left) == j * g.dagger().inverse() * j
             # Serre: full-twist power = double right dual = canonical twist
             via_braid = braid_act(cox**-n, basis)

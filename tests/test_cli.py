@@ -116,6 +116,8 @@ def test_bad_usage_exit_2(capsys):
         ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "9^9^9^9"],
         ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "(X+Z1+Z2)^400"],
         ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "((X+Z1+Z2)^4)^4"],
+        ["psi", "--n", "4", "--z", "0.1,0.3,0.55,0.8", "--q", "0.3", "--class", "*".join(["(X+Z1+Z2+Z3+Z4)^8"] * 4)],
+        ["psi", "--n", "4", "--z", "0.1,0.3,0.55,0.8", "--q", "0.3", "--class", "*".join(["(X+Z1+Z2+Z3+Z4)^8"] * 6)],
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv):
@@ -146,6 +148,15 @@ def test_largest_accepted_exponents(capsys):
     assert main(["mutate", "--n", n, "--side", "right", "--pivot", "X^-4", "--target", "O(4)"]) == 0
     assert main(["gram", "--n", n, "--basis", "Qpt", "--k", "-4"]) == 0
     assert main(["stokes", "--n", n, "--sector", "vp:-2"]) == 0
+
+
+def test_values_with_a_leading_minus(capsys):
+    # a braid word that starts with an inverse letter, and negative parameters
+    code, out = run(capsys, "gram", "--n", "3", "--word", "-1,2")
+    assert code == 0
+    assert run(capsys, "gram", "--n", "3", "--word=-1,2") == (0, out)
+    code, _ = run(capsys, "solve-qde", "--n", "2", "--z", "-0.1,0.37", "--q", "0.3")
+    assert code == 0
 
 
 def test_config_file_flags_win(tmp_path, capsys):

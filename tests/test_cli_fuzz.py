@@ -30,6 +30,14 @@ classes = st.one_of(
 )
 
 
+# braid words: letters around the valid range 1..n-1 of each sign, with 0,
+# and words that are not comma-separated integers
+words = st.one_of(
+    st.lists(st.integers(-6, 6), max_size=4).map(lambda ls: ",".join(map(str, ls))),
+    st.sampled_from(["1,,2", "a", "1.5", " "]),
+)
+
+
 def z_text(n: int) -> str:
     return ",".join(Z_POOL[: max(n, 1)])
 
@@ -47,9 +55,12 @@ def command_lines(draw):
     )
     basis = ["--basis", draw(st.sampled_from(["beilinson", "Q", "Qp", "Qpp", "Qpt", "Qppt"]))]
     twist = ["--k", str(draw(exponents))]
+    word = ["--word", draw(words)]
     if kind in ("gram", "dioph-check"):
-        return [kind, *N, *basis, *twist]
+        return [kind, *N, *basis, *twist, *word]
     if kind == "braid":
+        if draw(st.booleans()):
+            return ["braid", *N, *basis, *twist, *word]
         name = draw(st.sampled_from(["beta", "C", "gamma", "sigma_odd", "sigma_even"]))
         return ["braid", *N, *basis, *twist, "--name", name]
     if kind == "mutate":
@@ -117,6 +128,7 @@ MUTATE_X = ["mutate", "--n", "3", "--side", "left", "--pivot", "O(1)", "--target
 @example(MUTATE_X + ["X^100"])
 @example(["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "9^9^9^9"])
 @example(["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "(X+Z1+Z2)^400"])
+@example(["gram", "--n", "-2", "--basis", "beilinson", "--k", "0", "--word", "-1,0"])
 def test_argv_fuzz(argv):
     code, err, elapsed = run_limited(argv)
     assert code in (0, 1, 2), (argv, code)

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from projqde.cohomology import (
     NumericContext,
@@ -24,7 +24,7 @@ from projqde.ring import LaurentMatrix, LaurentPoly
 
 TOL = 1e-12
 ORDER = 8
-SYMBOLIC_LEVELT_ORDER = {2: 3, 3: 2, 4: 1}  # rational functions grow fast with the order
+SYMBOLIC_LEVELT_ORDER = {2: 8, 3: 4, 4: 3}  # uncancelled rational functions grow with the order
 
 
 def close(got, want, tol=TOL) -> bool:
@@ -97,8 +97,14 @@ def resonance_free(draw):
     return n, tuple(z), q
 
 
+# z2, z3, z4 within 1/24 of each other: the last row r of D^-1 reaches 2,744,
+# and a Levelt step that formed the sum r G_k lost G_4 to 6.5e-12
+CLOSE_Z = (4, (Fraction(0), Fraction(6, 7), Fraction(7, 8), Fraction(5, 6)), Fraction(1, 9))
+
+
 @settings(max_examples=30, deadline=None)
 @given(resonance_free())
+@example(CLOSE_Z)
 def test_fraction_complex_symbolic_agree(point):
     n, z, q = point
     zc = [complex(w) for w in z]
@@ -115,6 +121,7 @@ def test_fraction_complex_symbolic_agree(point):
 
 @settings(max_examples=30, deadline=None)
 @given(resonance_free())
+@example(CLOSE_Z)
 def test_complex_builders_satisfy_their_identities(point):
     n, z, q = point
     zc = np.array([complex(w) for w in z])

@@ -30,8 +30,10 @@ from projqde.ktheory import (
     mutate,
     serre_twist,
     structured_basis,
+    to_z,
     xz_vars,
 )
+from projqde.ktheory import _power_elementary
 from projqde.ring import LaurentMatrix, LaurentPoly, RationalFn, sym_poly, zvars
 
 
@@ -171,10 +173,11 @@ def test_a_pair_is_opposite_order_dual():
 
 def test_gram_beilinson_rank2():
     g = gram_matrix(beilinson_basis(2))
+    assert g.vars == evars(2)
     m1d = sym_poly("complete", 1, 2).dual()
     one = LaurentPoly.one(zvars(2))
     zero = LaurentPoly.zero(zvars(2))
-    assert g == LaurentMatrix([[one, m1d], [zero, one]])
+    assert g.map(lambda p: to_z(p, 2)) == LaurentMatrix([[one, m1d], [zero, one]])
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -186,7 +189,7 @@ def test_gram_unitriangular_and_unimodular_on_mutations(n):
         basis = braid_act(word, basis)
         g = gram_matrix(basis)
         assert g.is_upper_unitriangular()
-        assert g.det() == LaurentPoly.one(zvars(n))
+        assert g.det() == LaurentPoly.one(evars(n))
 
 
 def test_mutation_identities():
@@ -269,7 +272,7 @@ def test_gram_of_dual_is_j_conjugate(n):
     g = gram_matrix(basis)
     j = LaurentMatrix(
         [
-            [LaurentPoly.constant(zvars(n), 1 if a + b == n - 1 else 0) for b in range(n)]
+            [LaurentPoly.constant(evars(n), 1 if a + b == n - 1 else 0) for b in range(n)]
             for a in range(n)
         ]
     )
@@ -320,7 +323,9 @@ def test_canonical_char_poly_rank2():
     gg = sym_poly("complete", 1, n).with_vars(vs)
     prod = gg * gg.dual()
     want = lam * lam + (prod - 2) * lam + 1
-    assert canonical_char_poly(g, n) == want
+    cp = canonical_char_poly(g, n)
+    assert cp.vars == ("LAM",) + evars(n)
+    assert to_z(cp, n) == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -329,6 +334,30 @@ def test_dioph_residual_zero_on_gram_matrices(n):
     assert dioph_residual(gram_matrix(basis), n).is_zero()
     mutated = braid_act(BraidWord((1, -(n - 1))), basis)
     assert dioph_residual(gram_matrix(mutated), n).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_targets_expand_to_the_z_formula(n):
+    # e_j(Z^n) over E1..En, from det(lambda - X^n), against e_j(Z) with every
+    # exponent times n
+    for j, ej in enumerate(_power_elementary(n)):
+        want = sym_poly("elementary", j, n).terms
+        assert to_z(ej, n) == LaurentPoly(zvars(n), {tuple(x * n for x in e): c for e, c in want.items()})
+
+
+def test_dioph_residual_on_a_torus_gram_matrix():
+    # characters that are not symmetric put the Gram matrix over Z1..Zn
+    n = 3
+    chars = [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]
+    basis = ExceptionalBasis(
+        [e.scale(LaurentPoly.monomial(zvars(n), a)) for e, a in zip(beilinson_basis(n).elements, chars)]
+    )
+    g = gram_matrix(basis)
+    assert g.vars == zvars(n)
+    assert dioph_residual(g, n).is_zero()
+    rows = [list(row) for row in g.entries]
+    rows[0][1] = rows[0][1] + LaurentPoly.variable(zvars(n), "Z1")
+    assert not dioph_residual(LaurentMatrix(rows), n).is_zero()
 
 
 def test_markov_rank3():
@@ -352,6 +381,7 @@ def test_markov_rank3():
 
     gb = gram_matrix(beilinson_basis(3))
     assert all(r.is_zero() for r in markov_residuals_rank3(gb))
+    gb = gb.map(lambda p: to_z(p, n))
     bt = []
     for p in (gb[0, 1], gb[0, 2], gb[1, 2]):
         for i in range(1, n + 1):

@@ -19,6 +19,8 @@ from projqde.ring import (
     RationalFn,
     char_poly,
     cyclotomic_polynomial,
+    elementary_symmetric,
+    evars,
     reduce_root_of_unity,
     stirling,
     sym_poly,
@@ -183,13 +185,14 @@ def _unitriangular(draw, n, lower):
 
 @lru_cache(maxsize=None)
 def _stokes_coordinate_matrices():
-    """Matrices of determinant +-1, all but one non-triangular: the X-power
-    coordinates of the rank-3 Stokes bases, columns ordered by eigenvalue tag."""
+    """Non-triangular matrices over E1..E3 of determinant +-E3^2: the
+    line-bundle coordinates of the rank-3 Stokes bases, columns ordered by
+    eigenvalue tag."""
     out = []
     for kind in ("Vprime", "Vdprime"):
         for k in (-1, 0, 1):
             basis = stokes_basis(SectorId(kind, k), 3)
-            out.append(_columns_by_tag(basis, list(reversed(basis.eigen_tags))))
+            out.append(_columns_by_tag(basis, list(reversed(basis.eigen_tags)), 0))
     return tuple(out)
 
 
@@ -211,8 +214,10 @@ def _unit_det_matrix(draw, kind):
 
 
 def _torus_point(draw):
+    """Values of Z1..Z3 on the unit torus, and of E1..E3 as e_k(Z)."""
     angles = [draw(st.floats(0, 2 * np.pi)) for _ in V3]
-    return {v: cmath.exp(1j * t) for v, t in zip(V3, angles)}
+    z = [cmath.exp(1j * t) for t in angles]
+    return {**dict(zip(V3, z)), **{v: elementary_symmetric(z, k) for k, v in enumerate(evars(3), 1)}}
 
 
 def _numeric(m, point):
@@ -247,10 +252,10 @@ def test_inverse_matches_numeric_oracle(data, kind):
 def test_char_poly_matches_numeric_oracle(data, kind):
     a = _unit_det_matrix(data.draw, kind)
     n = a.rows
-    b = LaurentMatrix([[data.draw(_laurent_polys(V3)) for _ in range(n)] for _ in range(n)])
+    b = LaurentMatrix([[data.draw(_laurent_polys(a.vars)) for _ in range(n)] for _ in range(n)])
     point = _torus_point(data.draw)
     cp = char_poly(a, b)
-    assert cp.vars == (LAMBDA,) + V3
+    assert cp.vars == (LAMBDA,) + a.vars
     assert set(cp.as_series(LAMBDA)) <= set(range(n + 1))
     exact = [cp.coefficient(LAMBDA, n - k).eval(point) for k in range(n + 1)]
     a_num, b_num = _numeric(a, point), _numeric(b, point)

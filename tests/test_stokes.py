@@ -3,20 +3,23 @@ form, Stokes bases/matrices, the Gram identification, roots of unity, and the
 bridge to the zero-parameter isomonodromic system."""
 
 import cmath
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from projqde.cohomology import NumericContext
 from projqde.hypergeom import QSolution, scaled_element_asymptotic_ratio
-from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix
+from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix, to_z
 from projqde.qde import BranchContext
-from projqde.ring import LaurentMatrix, LaurentPoly, reduce_root_of_unity, sym_poly, zvars
+from projqde.ring import LaurentMatrix, LaurentPoly, evars, reduce_root_of_unity, sym_poly, zvars
 from projqde.stokes import (
     FormalSolution,
     SectorId,
+    _at_unity_roots,
     _formal_monodromy_char_residual,
     antisymmetric_v_exact,
     dubrovin_bridge,
@@ -223,6 +226,91 @@ def test_stokes_matrices_triangular_and_gram(n):
             assert rep["formal_monodromy"], (n, kind, k)
 
 
+def _three_bases(sector, n):
+    """The Stokes bases of the sector and of its half and full turns, and the
+    order of eigenvalue tags the Stokes matrices use."""
+    bases = [stokes_basis(sector, n)]
+    for _ in range(2):
+        sector = sector.rotate_half(n)
+        bases.append(stokes_basis(sector, n))
+    return bases, list(reversed(bases[0].eigen_tags))
+
+
+def _by_tag(basis, tag_order):
+    pos = {t: i for i, t in enumerate(basis.eigen_tags)}
+    return [basis.elements[pos[t]] for t in tag_order]
+
+
+def _x_power_stokes_matrices(sector, n):
+    """Reference: S1 = A0^{-1} A1 and S2 = A1^{-1} A2 with A_i the X-power
+    coordinates of the bases over Z1..Zn (`KClass.coeffs`), inverted by the
+    adjugate."""
+    bases, order = _three_bases(sector, n)
+    a0, a1, a2 = (
+        LaurentMatrix([[e.coeffs[j] for e in _by_tag(b, order)] for j in range(n)]) for b in bases
+    )
+    return a0.inverse() * a1, a1.inverse() * a2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stokes_matrices_match_x_power_reference(n):
+    # k = -4, -3 at n = 4 take 1-5 s each on the reference path
+    for kind in ("Vprime", "Vdprime"):
+        for k in range(-2, 3):
+            got = stokes_matrices(SectorId(kind, k), n)
+            want = _x_power_stokes_matrices(SectorId(kind, k), n)
+            for s, w in zip(got, want):
+                assert s.vars == evars(n)
+                assert s.map(lambda p: to_z(p, n)) == w, (n, kind, k)
+
+
+def _separated_torus_point(rng, n):
+    """Z_a = exp(i theta_a) with the Z_a and the Z_a^n well apart."""
+    perm = rng.permutation(n)
+    theta = (2 * np.pi * np.arange(n) + np.pi * (perm + 0.5 + 0.3 * (rng.random(n) - 0.5)) / n) / n
+    return np.exp(1j * (theta + rng.uniform(0, 2 * np.pi)))
+
+
+def _at(p, z):
+    """A polynomial over E1..En at e_k(z), or over Z1..Zn at z."""
+    e = [(-1) ** k * c for k, c in enumerate(np.poly(z))][1:]
+    return p.eval({**{f"Z{i + 1}": w for i, w in enumerate(z)}, **{f"E{k + 1}": v for k, v in enumerate(e)}})
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(3, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(("Vprime", "Vdprime")), st.integers(-n, n))
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@example((4, "Vprime", -8), 1)
+def test_stokes_matrices_match_numeric_solve(sector, seed):
+    # the fixed-point restrictions f(X = Z_a) of the three bases, evaluated in
+    # floating point, against the exact S1, S2 at the same point of the torus
+    n, kind, k = sector
+    sector = SectorId(kind, k)
+    s1, s2 = stokes_matrices(sector, n)
+    bases, order = _three_bases(sector, n)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):
+        z = _separated_torus_point(rng, n)
+        r0, r1, r2 = (
+            np.array([[sum(_at(c, z) * z[a] ** -j for j, c in enumerate(e.ocoords)) for e in _by_tag(b, order)] for a in range(n)])
+            for b in bases
+        )
+        n1, n2 = np.linalg.solve(r0, r1), np.linalg.solve(r1, r2)
+        for exact, numeric in ((s1, n1), (s2, n2)):
+            value = np.array([[_at(p, z) for p in row] for row in exact.entries])
+            scale = max(1.0, float(np.max(np.abs(value))))
+            assert np.max(np.abs(value - numeric)) <= 1e-8 * scale, (n, kind, k)
+        # on the unit torus the dual is the complex conjugate
+        eig = np.linalg.eigvals(np.linalg.solve(n1, n1.conj().T))
+        want = (-1) ** (n - 1) * z**n / np.prod(z)
+        rows, cols = linear_sum_assignment(np.abs(eig[:, None] - want[None, :]))
+        assert np.max(np.abs(eig[rows] - want[cols])) <= 1e-7, (n, kind, k)
+
+
 def _shift_entry(m, i, j, p):
     rows = [list(row) for row in m.entries]
     rows[i][j] = rows[i][j] + p
@@ -231,13 +319,13 @@ def _shift_entry(m, i, j, p):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_char_poly_checks_reject_shifted_entries(n):
-    z1 = LaurentPoly.variable(zvars(n), "Z1")
+    e1 = LaurentPoly.variable(evars(n), "E1")
     g = gram_matrix(beilinson_basis(n))
     assert dioph_residual(g, n).is_zero()
-    assert not dioph_residual(_shift_entry(g, 0, 1, z1), n).is_zero()
+    assert not dioph_residual(_shift_entry(g, 0, 1, e1), n).is_zero()
     s1, s2 = stokes_matrices(SectorId("Vprime", 0), n)
     assert _formal_monodromy_char_residual(s1, s2, n).is_zero()
-    assert not _formal_monodromy_char_residual(_shift_entry(s1, 0, 1, z1), s2, n).is_zero()
+    assert not _formal_monodromy_char_residual(_shift_entry(s1, 0, 1, e1), s2, n).is_zero()
 
 
 def test_stokes_entries_symmetric_in_parameters():
@@ -248,7 +336,7 @@ def test_stokes_entries_symmetric_in_parameters():
     for m in (s1, s2):
         for a in range(n):
             for b in range(n):
-                p = m[a, b]
+                p = to_z(m[a, b], n)
                 q = p.rename_vars(perm).with_vars(p.vars)
                 assert q == p
 
@@ -281,6 +369,31 @@ def test_scalar_collapse_and_stirling(n):
 def test_stokes_trivial_at_unity(n):
     for kind in ("Vprime", "Vdprime"):
         assert stokes_trivial_at_unity(SectorId(kind, 0), n)
+
+
+def specialize_to_unity_roots(p, n):
+    """Reference: p over Z1..Zn at Z_m -> V^{m-1}, V a formal primitive n-th
+    root of unity, reduced modulo Phi_n(V); a polynomial in (V,)."""
+    vs = ("V",) + zvars(n)
+    q = p.with_vars(vs)
+    for m in range(1, n + 1):
+        q = q.substitute_monomial(f"Z{m}", 1, (m - 1,) + (0,) * n)
+    return reduce_root_of_unity(q.drop_vars(zvars(n)), "V", n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_unity_root_values_over_e_match_the_z_expansion(n):
+    # e_k(1, V, .., V^{n-1}) is 0 for 0 < k < n and e_n is (-1)^{n-1}; of
+    # the e_k only e_n is a unit
+    rng = random.Random(n)
+    for _ in range(20):
+        terms = {
+            tuple(rng.randint(0, 2) for _ in range(n - 1)) + (rng.randint(-2, 2),): rng.randint(-3, 3)
+            for _ in range(4)
+        }
+        terms[(0,) * (n - 1) + (rng.choice((-1, 1)),)] = 1
+        p = LaurentPoly(evars(n), terms)
+        assert specialize_to_unity_roots(to_z(p, n), n) == _at_unity_roots(p, n)
 
 
 def test_orthonormal_gram_at_unity():
