@@ -40,7 +40,6 @@ def _variables(n: int) -> list[LaurentPoly]:
 
 def shift_poly(p: LaurentPoly, name: str, delta: int) -> LaurentPoly:
     """Substitute name -> name + delta (nonnegative exponents only)."""
-    i = p.vars.index(name)
     out = LaurentPoly.zero(p.vars)
     base = LaurentPoly.variable(p.vars, name) + LaurentPoly.constant(p.vars, delta)
     for k, coeff in p.as_series(name).items():
@@ -56,15 +55,7 @@ def shift_matrix(m: LaurentMatrix, name: str, delta: int) -> LaurentMatrix:
 
 def formal_derivative(p: LaurentPoly, name: str) -> LaurentPoly:
     i = p.vars.index(name)
-    terms = {}
-    for e, c in p.terms.items():
-        k = e[i]
-        if k == 0:
-            continue
-        ne = list(e)
-        ne[i] = k - 1
-        terms[tuple(ne)] = c * k
-    return LaurentPoly(p.vars, terms)
+    return LaurentPoly(p.vars, ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in p.terms.items()))
 
 
 # -- R-matrices -------------------------------------------------------------------------

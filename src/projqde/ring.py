@@ -6,15 +6,23 @@ coefficients, rational functions compared by cross-multiplication, matrices
 over the Laurent ring, elementary/complete symmetric functions, Stirling
 numbers, and exact evaluation at roots of unity via cyclotomic reduction.
 
+A Laurent polynomial keys each monomial by one integer, sum_i e_i 2^(32 i)
+with the exponents e_i in signed 32-bit slots: multiplying monomials adds
+keys, the duality Z_j -> Z_j^{-1} negates one.  Each polynomial bounds its
+|exponents| (a product by the sum of its factors' bounds, a sum by the larger
+one); past the slot limit 2^31 - 1 an operation raises OverflowError rather
+than let two monomials share a key.
+
 Values are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 
 def zvars(n: int, prefix: str = "Z") -> tuple[str, ...]:
@@ -45,46 +53,123 @@ def _pow_coeff(c, k: int):
     return _norm_coeff(Fraction(c) ** k)
 
 
+_W = 32  # bits per exponent slot of a packed monomial key
+_HALF = 1 << (_W - 1)
+_MASK = (1 << _W) - 1
+_LIMIT = _HALF - 1  # the largest |exponent| a slot holds
+
+
+def _pack(exps: Sequence[int]) -> int:
+    """The key sum_i e_i 2^(_W i) of the exponent vector e."""
+    key = 0
+    for x in reversed(exps):
+        key = (key << _W) + x
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    """The exponent vector of length n packed in key."""
+    out = []
+    for _ in range(n):
+        x = ((key + _HALF) & _MASK) - _HALF
+        out.append(x)
+        key = (key - x) >> _W
+    return tuple(out)
+
+
+class _Terms(Mapping):
+    """Read-only view of packed terms keyed by exponent tuples: its length is
+    read off the packed dict, its items are decoded on first use."""
+
+    __slots__ = ("_t", "_n", "_d")
+
+    def __init__(self, t: dict, n: int):
+        self._t, self._n, self._d = t, n, None
+
+    def _dict(self) -> dict:
+        if self._d is None:
+            self._d = {_unpack(k, self._n): c for k, c in self._t.items()}
+        return self._d
+
+    def __len__(self) -> int:
+        return len(self._t)
+
+    def __iter__(self):
+        return iter(self._dict())
+
+    def __getitem__(self, exps):
+        return self._dict()[exps]
+
+    def items(self):
+        return self._dict().items()
+
+
 class LaurentPoly:
     """Multivariate Laurent polynomial with exact rational coefficients.
 
-    Terms are a map from integer exponent vectors (one slot per variable,
-    negative allowed) to nonzero Fractions.  Zero coefficients are pruned at
-    construction, so structural equality is canonical equality.
+    The terms map integer exponent vectors (one slot per variable, negative
+    allowed) to nonzero int or Fraction coefficients, zeros pruned, so
+    structural equality is canonical equality.  `_t` keeps them under packed
+    keys (module docstring) and `_b` bounds their |exponents|; `terms` is a
+    read-only view of `_t` keyed by exponent tuples, made on first use.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_t", "_b", "_terms")
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[tuple[int, ...], Fraction | int]):
+    def __new__(cls, vars: Sequence[str], terms: Mapping | Iterable[tuple[Sequence[int], Fraction | int]]):
+        """terms: a map from exponent vectors to coefficients, or an iterable of
+        (exponents, coefficient) pairs; the coefficients of a monomial add."""
         vs = tuple(vars)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs}")
-        tm: dict[tuple[int, ...], Fraction | int] = {}
-        for exps, c in terms.items():
+        tm: dict[int, Fraction | int] = {}
+        b = 0
+        for exps, c in terms.items() if hasattr(terms, "items") else terms:
             e = tuple(exps)
             if len(e) != len(vs):
                 raise ValueError(f"exponent vector {e} has wrong length for vars {vs}")
             c = _norm_coeff(c)
             if c != 0:
-                s = tm.get(e, 0) + c
+                k = _pack(e)
+                if type(k) is not int:  # a float or fixed-width exponent
+                    raise TypeError(f"exponents must be Python integers, got {e}")
+                b = max(b, max(e, default=0), -min(e, default=0))
+                s = tm.get(k, 0) + c
                 if s == 0:
-                    tm.pop(e, None)
+                    tm.pop(k, None)
                 else:
-                    tm[e] = s
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", tm)
+                    tm[k] = s
+        return cls._raw(vs, tm, b)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
-    def _raw(cls, vars: tuple[str, ...], terms: dict) -> "LaurentPoly":
-        """Internal fast path: terms must already be normalized (no zeros,
-        int/Fraction coefficients, exponent tuples of the right length)."""
+    def _raw(cls, vars: tuple[str, ...], t: dict, b: int) -> "LaurentPoly":
+        """Internal fast path: t must already be normalized (no zeros,
+        int/Fraction coefficients, packed keys of exponents at most b)."""
+        if b > _LIMIT:
+            raise OverflowError(f"exponent bound {b} passes the slot limit {_LIMIT}")
         self = object.__new__(cls)
         object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_t", t)
+        object.__setattr__(self, "_b", b)
         return self
+
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction | int]:
+        """Read-only map from exponent tuples to coefficients, in the order
+        the terms were made (`_terms` is unset until the first call)."""
+        try:
+            return self._terms
+        except AttributeError:
+            object.__setattr__(self, "_terms", _Terms(self._t, len(self.vars)))
+            return self._terms
+
+    def _decoded(self) -> Iterable[tuple[tuple[int, ...], Fraction | int]]:
+        """The terms decoded afresh, for reads that need no view kept."""
+        n = len(self.vars)
+        return ((_unpack(k, n), c) for k, c in self._t.items())
 
     # -- constructors -------------------------------------------------------
 
@@ -107,7 +192,7 @@ class LaurentPoly:
             raise ValueError(f"{name!r} not in variable context {vs}")
         e = [0] * len(vs)
         e[vs.index(name)] = power
-        return cls(vs, {tuple(e): Fraction(1)})
+        return cls(vs, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], c=1) -> "LaurentPoly":
@@ -135,19 +220,19 @@ class LaurentPoly:
         other = self._as_poly(other)
         if other is NotImplemented:
             return other
-        tm = dict(self.terms)
-        for e, c in other.terms.items():
-            s = tm.get(e, 0) + c
+        tm = dict(self._t)
+        for k, c in other._t.items():
+            s = tm.get(k, 0) + c
             if s == 0:
-                tm.pop(e, None)
+                tm.pop(k, None)
             else:
-                tm[e] = s
-        return LaurentPoly._raw(self.vars, tm)
+                tm[k] = s
+        return LaurentPoly._raw(self.vars, tm, max(self._b, other._b))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.vars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._raw(self.vars, {k: -c for k, c in self._t.items()}, self._b)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._as_poly(other)
@@ -166,20 +251,21 @@ class LaurentPoly:
             if c == 0:
                 return LaurentPoly.zero(self.vars)
             return LaurentPoly._raw(
-                self.vars, {e: _norm_coeff(v * c) for e, v in self.terms.items()}
+                self.vars, {k: _norm_coeff(v * c) for k, v in self._t.items()}, self._b
             )
         self._check_context(other)
-        tm: dict[tuple[int, ...], Fraction | int] = {}
+        tm: dict[int, Fraction | int] = {}
         get = tm.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(int.__add__, e1, e2))
-                s = get(e, 0) + c1 * c2
-                if s == 0:
-                    tm.pop(e, None)
+        terms2 = list(other._t.items())
+        for k1, c1 in self._t.items():
+            for k2, c2 in terms2:
+                k = k1 + k2  # the product of the two monomials
+                s = get(k, 0) + c1 * c2
+                if s:
+                    tm[k] = s
                 else:
-                    tm[e] = s
-        return LaurentPoly._raw(self.vars, tm)
+                    del tm[k]
+        return LaurentPoly._raw(self.vars, tm, self._b + other._b)
 
     __rmul__ = __mul__
 
@@ -210,37 +296,30 @@ class LaurentPoly:
             other = LaurentPoly.constant(self.vars, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return self.vars == other.vars and self._t == other._t
 
-    __hash__ = None  # mutable dict inside; identity-free equality only
+    __hash__ = None  # equality only; polynomials are not dict keys
 
     # -- predicates and views --------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
+        return all(k == 0 for k in self._t)  # key 0 is the monomial 1
 
     def constant_value(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(next(iter(self._t.values())))
 
     def is_unit_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def as_unit_monomial(self) -> tuple[Fraction, tuple[int, ...]]:
-        """Return (coefficient, exponents); raises unless exactly one term."""
-        if len(self.terms) != 1:
-            raise ValueError(f"not a monomial: {self}")
-        e, c = next(iter(self.terms.items()))
-        return Fraction(c), e
+        return len(self._t) == 1
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items())
+        return sorted(self._decoded())
 
     # -- structural operations ---------------------------------------------------
 
@@ -249,26 +328,22 @@ class LaurentPoly:
         monomial to a monomial, and v -> v^{-1} on any other variables."""
         vs = self.vars
         if vs and vs[0] == "E1" and vs == evars(len(vs)):
-            return LaurentPoly._raw(
-                vs, {e[-2::-1] + (-e[-1] - sum(e[:-1]),): c for e, c in self.terms.items()}
-            )
-        return LaurentPoly._raw(vs, {tuple(-x for x in e): c for e, c in self.terms.items()})
+            tm, b = {}, self._b
+            for e, c in self._decoded():
+                last = -e[-1] - sum(e[:-1])
+                b = max(b, abs(last))
+                tm[_pack(e[-2::-1] + (last,))] = c
+            return LaurentPoly._raw(vs, tm, b)
+        return LaurentPoly._raw(vs, {-k: c for k, c in self._t.items()}, self._b)
 
     def with_vars(self, vars: Sequence[str]) -> "LaurentPoly":
         """Embed into a larger variable context (superset of current vars)."""
         vs = tuple(vars)
-        pos = []
-        for v in self.vars:
-            if v not in vs:
-                raise ValueError(f"target context {vs} does not contain {v!r}")
-            pos.append(vs.index(v))
-        tm = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(vs)
-            for p, x in zip(pos, e):
-                ne[p] = x
-            tm[tuple(ne)] = c
-        return LaurentPoly(vs, tm)
+        if len(set(vs)) != len(vs) or not set(self.vars) <= set(vs):
+            raise ValueError(f"target context {vs} must hold {self.vars}, each name once")
+        shifts = [_W * vs.index(v) for v in self.vars]
+        tm = {sum(x << s for s, x in zip(shifts, e)): c for e, c in self._decoded()}
+        return LaurentPoly._raw(vs, tm, self._b)
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "LaurentPoly":
         return LaurentPoly(tuple(mapping.get(v, v) for v in self.vars), self.terms)
@@ -300,52 +375,26 @@ class LaurentPoly:
         coeff = _norm_coeff(coeff)
         if coeff == 0:
             raise ValueError("substitution by zero is not a unit")
-        tm: dict[tuple[int, ...], Fraction | int] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            ne = list(e)
-            ne[i] = 0
-            for j, x in enumerate(exps):
-                ne[j] += k * x
-            ne = tuple(ne)
-            s = tm.get(ne, 0) + c * _pow_coeff(coeff, k)
-            if s == 0:
-                tm.pop(ne, None)
-            else:
-                tm[ne] = s
-        return LaurentPoly._raw(vs, tm)
+
+        def moved(e):
+            return tuple(0 if j == i else x + e[i] * y for j, (x, y) in enumerate(zip(e, exps)))
+
+        return LaurentPoly(vs, ((moved(e), c * _pow_coeff(coeff, e[i])) for e, c in self._decoded()))
 
     def specialize(self, name: str, value) -> "LaurentPoly":
-        """Substitute an exact rational value for one variable (exponent 0 result slot kept)."""
+        """Substitute an exact rational value for one variable (exponent 0 result
+        slot kept); ZeroDivisionError for a negative power of it at zero."""
         value = _norm_coeff(value)
         i = self.vars.index(name)
-        tm: dict[tuple[int, ...], Fraction | int] = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if value == 0:
-                if k < 0:
-                    raise ZeroDivisionError("negative power at zero")
-                factor = 1 if k == 0 else 0
-            else:
-                factor = _pow_coeff(value, k)
-            if factor == 0:
-                continue
-            ne = list(e)
-            ne[i] = 0
-            ne = tuple(ne)
-            s = tm.get(ne, 0) + c * factor
-            if s == 0:
-                tm.pop(ne, None)
-            else:
-                tm[ne] = s
-        return LaurentPoly._raw(self.vars, tm)
+        pairs = ((e[:i] + (0,) + e[i + 1 :], c * _pow_coeff(value, e[i])) for e, c in self._decoded())
+        return LaurentPoly(self.vars, pairs)
 
     def eval(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned a nonzero value
         if it occurs with a negative exponent."""
         vals = [values[v] for v in self.vars]
         total = 0j
-        for e, c in self.terms.items():
+        for e, c in self._decoded():
             term = complex(c)
             for v, k in zip(vals, e):
                 if k:
@@ -359,7 +408,7 @@ class LaurentPoly:
         i = self.vars.index(name)
         rest = tuple(v for v in self.vars if v != name)
         out: dict[int, dict[tuple[int, ...], Fraction]] = {}
-        for e, c in self.terms.items():
+        for e, c in self._decoded():
             k = e[i]
             re = tuple(x for j, x in enumerate(e) if j != i)
             out.setdefault(k, {})[re] = c
@@ -367,13 +416,13 @@ class LaurentPoly:
 
     def degree(self, name: str) -> int | None:
         i = self.vars.index(name)
-        if not self.terms:
+        if not self._t:
             return None
         return max(e[i] for e in self.terms)
 
     def valuation(self, name: str) -> int | None:
         i = self.vars.index(name)
-        if not self.terms:
+        if not self._t:
             return None
         return min(e[i] for e in self.terms)
 
@@ -406,7 +455,7 @@ class LaurentPoly:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._t:
             return "0"
         parts = []
         for e, c in self.sorted_terms():
@@ -427,8 +476,10 @@ class LaurentPoly:
 
 def unit_pow(p: LaurentPoly, k: int) -> LaurentPoly:
     """p**k for negative k, valid only when p is a single-term unit monomial."""
-    c, e = p.as_unit_monomial()
-    return LaurentPoly.monomial(p.vars, tuple(x * k for x in e), _pow_coeff(c, k))
+    if len(p._t) != 1:
+        raise ValueError(f"not a monomial: {p}")
+    ((key, c),) = p._t.items()
+    return LaurentPoly._raw(p.vars, {key * k: _norm_coeff(_pow_coeff(c, k))}, p._b * abs(k))
 
 
 # -- symmetric functions and Stirling numbers ----------------------------------
@@ -446,18 +497,10 @@ def sym_poly(kind: str, k: int, n: int, prefix: str = "Z") -> LaurentPoly:
     if kind == "elementary":
         if k > n:
             raise ValueError(f"elementary symmetric function needs k <= n, got k={k}, n={n}")
-        terms = {}
-        for subset in combinations(range(n), k):
-            e = [0] * n
-            for i in subset:
-                e[i] = 1
-            terms[tuple(e)] = Fraction(1)
-        return LaurentPoly(vs, terms)
+        subsets = combinations(range(n), k)
+        return LaurentPoly(vs, ((tuple(int(i in s) for i in range(n)), 1) for s in subsets))
     if kind == "complete":
-        terms = {}
-        for e in _compositions(k, n):
-            terms[e] = Fraction(1)
-        return LaurentPoly(vs, terms)
+        return LaurentPoly(vs, ((e, 1) for e in _compositions(k, n)))
     raise ValueError(f"unknown kind {kind!r} (use 'elementary' or 'complete')")
 
 
@@ -537,9 +580,7 @@ class RationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
         num._check_context(den)
         if den.is_unit_monomial():
-            c, e = den.as_unit_monomial()
-            inv = LaurentPoly.monomial(den.vars, tuple(-x for x in e), Fraction(1) / c)
-            num = num * inv
+            num = num * unit_pow(den, -1)
             den = LaurentPoly.one(num.vars)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -879,14 +920,16 @@ def reduce_root_of_unity(p: LaurentPoly, name: str, order: int) -> LaurentPoly:
     """Canonical form of p given that variable `name` is a primitive
     `order`-th root of unity: each power of it replaced by its remainder
     modulo the cyclotomic polynomial.  Zero output iff p vanishes at the root."""
-    i = p.vars.index(name)
+    s = _W * p.vars.index(name)
+    lift = _HALF * ((1 << (s + _W)) - 1) // _MASK  # makes slots up to this one nonnegative
     powers = _reduced_powers(order)
-    out: dict[tuple[int, ...], Fraction | int] = {}
-    for e, c in p.terms.items():
-        for j, cj in powers[e[i] % order]:
-            ne = e[:i] + (j,) + e[i + 1 :]
-            out[ne] = out.get(ne, 0) + c * cj
-    return LaurentPoly(p.vars, out)
+    out: dict[int, Fraction | int] = {}
+    for k, c in p._t.items():
+        e = (((k + lift) >> s) & _MASK) - _HALF
+        for j, cj in powers[e % order]:
+            nk = k + ((j - e) << s)  # slot s/_W set to j
+            out[nk] = out.get(nk, 0) + c * cj
+    return LaurentPoly._raw(p.vars, {k: _norm_coeff(c) for k, c in out.items() if c}, max(p._b, order))
 
 
 def vanishes_at_root_of_unity(p: LaurentPoly, name: str, order: int) -> bool:

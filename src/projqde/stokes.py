@@ -34,6 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -240,9 +241,10 @@ class FormalSolution:
     ahat: list
 
 
-def _ahat_exact(n: int) -> list[LaurentMatrix]:
+@lru_cache(maxsize=None)
+def _ahat_exact(n: int) -> tuple[LaurentMatrix, ...]:
     """hat A_j = E B_j E^{-1} for j = 0..n over (W, z1..zn); hat A_0 = diag(u)."""
-    return [_conjugate_by_e(b) for b in shear_coeffs(n)]
+    return tuple(_conjugate_by_e(b) for b in shear_coeffs(n))
 
 
 def _gauge_recursion(ahat, u, gap_inv, lam, order: int, reduce) -> list:
@@ -356,11 +358,8 @@ def qkz_normal_form(j: int, n: int) -> LaurentMatrix:
         row = []
         for b in range(n):
             p = kx[a, b]
-            terms = {}
             qi = p.vars.index("q")
-            for e, c in p.terms.items():
-                ne = (e[qi] * n,) + e[1:]
-                terms[ne] = c
+            terms = (((e[qi] * n,) + e[1:], c) for e, c in p.terms.items())
             row.append(LaurentPoly(svars, terms) * LaurentPoly.variable(svars, "s", a - b))
         rows.append(row)
     res = [[rows[a][b].coefficient("s", -1) for b in range(n)] for a in range(n)]
@@ -445,13 +444,19 @@ def half_turn_is_left_dual(sector: SectorId, n: int) -> bool:
     return braid_act(beta, eps0).elements == eps1.elements
 
 
+def stokes_gram(sector: SectorId, n: int) -> LaurentMatrix:
+    """Gram matrix of the sector's basis, taken on its twist by X^{-(k+n-1)}
+    as in `stokes_matrices`, as chi is invariant under a common twist."""
+    els = stokes_basis(sector, n).elements
+    return gram_matrix(ExceptionalBasis([e.twist(-(sector.k + n - 1)) for e in els], verify=False))
+
+
 def gram_stokes_check(sector: SectorId, n: int) -> dict:
     """The central identities as products, for the Gram matrix G of the
     sector's basis: S1 J G^dag J = 1, S2 = J G J and S2 S1^dag = 1, plus the
     characteristic polynomials of G^{-1} G^dag and of the formal monodromy."""
     s1, s2 = stokes_matrices(sector, n)
-    eps0 = stokes_basis(sector, n)
-    g = gram_matrix(eps0)
+    g = stokes_gram(sector, n)
     one = LaurentMatrix.identity(n, g.vars)
     j = LaurentMatrix([[one[a, n - 1 - b] for b in range(n)] for a in range(n)])
     ok_s1 = s1 * j * g.dagger() * j == one

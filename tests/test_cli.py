@@ -118,6 +118,12 @@ def test_bad_usage_exit_2(capsys):
         ["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "((X+Z1+Z2)^4)^4"],
         ["psi", "--n", "4", "--z", "0.1,0.3,0.55,0.8", "--q", "0.3", "--class", "*".join(["(X+Z1+Z2+Z3+Z4)^8"] * 4)],
         ["psi", "--n", "4", "--z", "0.1,0.3,0.55,0.8", "--q", "0.3", "--class", "*".join(["(X+Z1+Z2+Z3+Z4)^8"] * 6)],
+        ["gram", "--n", "4", "--word", ",".join(["1"] * 40)],
+        ["dioph-check", "--n", "4", "--word", ",".join(["1"] * 7)],
+        ["braid", "--n", "2", "--word", "1,-1,1,-1,1"],
+        ["gram", "--n", "3", "--word"],
+        ["gram", "--n", "3", "--no-such-flag"],
+        ["no-such-command", "--n", "3"],
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv):

@@ -50,7 +50,8 @@ def command_lines(draw):
     kind = draw(
         st.sampled_from(
             ["gram", "braid", "dioph-check", "mutate", "psi", "qkz-check", "qkz", "solve-qde",
-             "b-check", "stokes", "formal-reduce", "dubrovin", "roots-of-unity", "verify-all"]
+             "b-check", "stokes", "formal-reduce", "dubrovin", "roots-of-unity", "verify-all",
+             "usage-error"]
         )
     )
     basis = ["--basis", draw(st.sampled_from(["beilinson", "Q", "Qp", "Qpp", "Qpt", "Qppt"]))]
@@ -82,6 +83,9 @@ def command_lines(draw):
         return ["formal-reduce", *(numeric if draw(st.booleans()) else N), "--order", "2"]
     if kind == "verify-all":
         return ["verify-all", *N, "--fast"]
+    if kind == "usage-error":
+        # an unknown flag, after a command that may also miss a required one
+        return [draw(st.sampled_from(["gram", "psi", "stokes"])), *N, "--no-such-flag"]
     return [kind, *N]
 
 
@@ -129,6 +133,7 @@ MUTATE_X = ["mutate", "--n", "3", "--side", "left", "--pivot", "O(1)", "--target
 @example(["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "9^9^9^9"])
 @example(["psi", "--n", "2", "--z", "0.1,0.37", "--q", "0.3", "--class", "(X+Z1+Z2)^400"])
 @example(["gram", "--n", "-2", "--basis", "beilinson", "--k", "0", "--word", "-1,0"])
+@example(["gram", "--n", "4", "--word", ",".join(["1"] * 40)])
 def test_argv_fuzz(argv):
     code, err, elapsed = run_limited(argv)
     assert code in (0, 1, 2), (argv, code)

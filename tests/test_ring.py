@@ -343,3 +343,116 @@ def test_eval_numeric():
     p = LaurentPoly.variable(V2, "Z1") * 2 + LaurentPoly.variable(V2, "Z2", -1)
     v = p.eval({"Z1": 1 + 1j, "Z2": 2j})
     assert abs(v - (2 * (1 + 1j) + 1 / (2j))) < 1e-14
+
+
+# -- packed monomial keys against a tuple-keyed reference --------------------------
+
+SLOT_LIMIT = 2**31 - 1  # the largest |exponent| a packed slot holds
+
+
+def _ref_collect(pairs):
+    """Sum (exponents, coefficient) pairs into a dict in insertion order,
+    dropping a key when its sum reaches zero: the tuple-keyed arithmetic
+    the packed one must reproduce, order included."""
+    out = {}
+    for e, c in pairs:
+        s = out.get(e, 0) + c
+        if s == 0:
+            out.pop(e, None)
+        else:
+            out[e] = s
+    return out
+
+
+def _ref_mul(a, b):
+    return _ref_collect(
+        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2) for e1, c1 in a.items() for e2, c2 in b.items()
+    )
+
+
+def _ref_dual(a, vs):
+    if vs[0] == "E1":  # e_k -> e_{n-k} / e_n
+        return {e[-2::-1] + (-e[-1] - sum(e[:-1]),): c for e, c in a.items()}
+    return {tuple(-x for x in e): c for e, c in a.items()}
+
+
+@st.composite
+def _term_dicts(draw):
+    """A context of 1..9 variables, (LAM, E1..E8) or (E1..E8), and two terms
+    maps on it with up to 50 terms, negative and far exponents included."""
+    k = draw(st.integers(1, 9))
+    vs = (("LAM",) + evars(8))[:k] if draw(st.booleans()) else evars(min(k, 8))
+    exps = st.one_of(st.integers(-6, 6), st.integers(-(2**20), 2**20))
+    coeffs = st.one_of(
+        st.integers(-9, 9).filter(bool),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    )
+    terms = st.dictionaries(st.tuples(*[exps] * len(vs)), coeffs, max_size=50)
+    return vs, draw(terms), draw(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_dicts())
+def test_packed_arithmetic_matches_tuple_reference(case):
+    vs, ta, tb = case
+    a, b = LaurentPoly(vs, ta), LaurentPoly(vs, tb)
+    for p, want in (
+        (a, ta),
+        (a * b, _ref_mul(ta, tb)),
+        (a + b, _ref_collect([*ta.items(), *tb.items()])),
+        (a - b, _ref_collect([*ta.items(), *((e, -c) for e, c in tb.items())])),
+        (-a, {e: -c for e, c in ta.items()}),
+        (a * Fraction(-2, 3), {e: c * Fraction(-2, 3) for e, c in ta.items()}),
+        (a.dual(), _ref_dual(ta, vs)),
+    ):
+        # same terms in the same order, so sums over the terms (eval) agree
+        assert list(p.terms.items()) == list(want.items())
+        assert len(p.terms) == len(want) and p.terms == want
+    assert (a == b) == (ta == tb)
+    assert a == LaurentPoly(vs, dict(reversed(ta.items())))
+    wide = ("Q",) + vs[::-1]
+    assert a.with_vars(wide).terms == {(0,) + e[::-1]: c for e, c in ta.items()}
+    assert a.with_vars(wide).with_vars(wide) == a.with_vars(wide)
+
+
+def test_terms_is_a_read_only_view():
+    p = LaurentPoly(V2, {(1, -2): 3, (0, 0): 1})
+    with pytest.raises(TypeError):
+        p.terms[(1, -2)] = 4
+    with pytest.raises(TypeError):
+        p.terms[(5, 5)] = 1
+    with pytest.raises(AttributeError):
+        p.terms = {}
+    assert p.terms == {(1, -2): 3, (0, 0): 1} and p == LaurentPoly(V2, {(1, -2): 3, (0, 0): 1})
+
+
+def test_exponents_past_the_slot_limit_raise():
+    vs = ("LAM",) + evars(3)
+    top = LaurentPoly.monomial(vs, (SLOT_LIMIT, 0, -SLOT_LIMIT, 0))
+    assert top.terms == {(SLOT_LIMIT, 0, -SLOT_LIMIT, 0): 1}
+    half = LaurentPoly.monomial(vs, (0, 2**30, 0, 0)) + 1
+    # 2^30 + (2^30 - 1) fits in a slot; 2^30 + 2^30 would carry into the next
+    assert (half * LaurentPoly.monomial(vs, (0, 2**30 - 1, 0, 0))).terms == {
+        (0, 2**31 - 1, 0, 0): 1,
+        (0, 2**30 - 1, 0, 0): 1,
+    }
+    for thunk in (
+        lambda: half * half,
+        lambda: half**2,
+        lambda: top * LaurentPoly.variable(vs, "E2", -1),
+        lambda: LaurentPoly.monomial(vs, (0, 0, 0, 2**31)),
+        lambda: LaurentPoly.monomial(vs, (0, 2**16, 0, 0)) ** -(2**15),
+        lambda: (LaurentPoly.monomial(evars(4), (2**30, 0, 0, 2**30)) + 1).dual(),
+        # W^-1 reduces to W^6 at a 7th root of unity, whose bound is 6, not 1
+        lambda: reduce_root_of_unity(LaurentPoly.variable(("W",), "W", -1), "W", 7)
+        * LaurentPoly.variable(("W",), "W", SLOT_LIMIT - 5),
+    ):
+        with pytest.raises(OverflowError):
+            thunk()
+
+
+@pytest.mark.parametrize("exps", [(1.0, 0), (0, 2.0), (np.int64(1), 0), (0, np.int64(-2))])
+def test_exponents_must_be_python_integers(exps):
+    # a fixed-width integer would wrap when packed
+    with pytest.raises(TypeError):
+        LaurentPoly(V2, {exps: 1})

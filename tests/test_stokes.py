@@ -40,6 +40,7 @@ from projqde.stokes import (
     stirling_value_checks,
     stokes_basis,
     stokes_matrices,
+    stokes_gram,
     stokes_normalization,
     stokes_trivial_at_unity,
 )
@@ -224,6 +225,15 @@ def test_stokes_matrices_triangular_and_gram(n):
             assert rep["dagger_pair"], (n, kind, k)
             assert rep["char_poly"], (n, kind, k)
             assert rep["formal_monodromy"], (n, kind, k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_stokes_gram_on_the_twisted_basis_is_the_gram_matrix(n):
+    # chi is invariant under the common twist stokes_gram applies
+    for kind in ("Vprime", "Vdprime"):
+        for k in range(-n, n + 1):
+            sector = SectorId(kind, k)
+            assert stokes_gram(sector, n) == gram_matrix(stokes_basis(sector, n)), (n, kind, k)
 
 
 def _three_bases(sector, n):
