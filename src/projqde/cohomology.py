@@ -272,20 +272,14 @@ def eta_pair(u: CohClass, v: CohClass, z: Sequence):
 
 
 def chern_character(f: KClass, ctx: NumericContext | None = None) -> CohClass:
-    """Graded Chern character by fixed-point restriction: substitute X -> Z_I
-    at the point I, giving Laurent polynomials in the exponentiated parameters
-    Z_a; with a context they are evaluated at Z_a = exp(2 pi i z_a)."""
-    n = f.n
-    lf = f.to_laurent()
-    res = []
-    for i in range(1, n + 1):
-        e = [0] * (n + 1)
-        e[lf.vars.index(f"Z{i}")] = 1
-        res.append(lf.substitute_monomial("X", 1, tuple(e)).drop_vars(["X"]))
+    """Graded Chern character by fixed-point restriction (`KClass.restrictions`),
+    Laurent polynomials in the exponentiated parameters Z_a; with a context
+    they are evaluated at Z_a = exp(2 pi i z_a)."""
+    res = f.restrictions()
     if ctx is not None:
         az = {f"Z{a + 1}": cmath.exp(2j * cmath.pi * w) for a, w in enumerate(ctx.z)}
         res = [r.eval(az) for r in res]
-    return CohClass(n, res)
+    return CohClass(f.n, res)
 
 
 def gamma_class(sign: str, ctx: NumericContext) -> CohClass:
@@ -313,26 +307,22 @@ def first_chern_class(ctx: NumericContext) -> CohClass:
     return CohClass(ctx.n, [total - ctx.n * w for w in ctx.z])
 
 
+def gamma_exp_c1(ctx: NumericContext) -> CohClass:
+    """The Gamma class times exp(pi i c_1): restriction
+    exp(pi i(sum z - n z_I)) prod_{a != I} Gamma(1 + z_a - z_I) at the point I."""
+    c1 = first_chern_class(ctx)
+    expc1 = CohClass(ctx.n, [cmath.exp(1j * cmath.pi * complex(r)) for r in c1.restrictions])
+    return gamma_class("+", ctx) * expc1
+
+
 def b_morphism(f: KClass, ctx: NumericContext) -> CohClass:
     """Comparison morphism from K-theory to cohomology: the Gamma class times
     exp(pi i c_1) times the graded Chern character."""
-    gp = gamma_class("+", ctx)
-    c1 = first_chern_class(ctx)
-    expc1 = CohClass(ctx.n, [cmath.exp(1j * cmath.pi * complex(r)) for r in c1.restrictions])
-    return gp * expc1 * chern_character(f, ctx)
+    return gamma_exp_c1(ctx) * chern_character(f, ctx)
 
 
 def connection_matrix(ctx: NumericContext) -> np.ndarray:
     """Matrix of the comparison morphism from the idempotent basis to the
-    x-power basis: D^{-1} diag(exp(pi i(sum z - n z_j)) prod Gamma(1+z_a-z_j))."""
-    n = ctx.n
-    _, dinv = vandermonde(n, ctx.z)
-    total = sum(ctx.z)
-    diag = np.zeros(n, dtype=complex)
-    for j in range(n):
-        acc = cmath.exp(1j * cmath.pi * (total - n * ctx.z[j]))
-        for a in range(n):
-            if a != j:
-                acc *= ctx.gamma(1 + ctx.z[a] - ctx.z[j])
-        diag[j] = acc
-    return dinv @ np.diag(diag)
+    x-power basis: D^{-1} diag(gamma_exp_c1)."""
+    _, dinv = vandermonde(ctx.n, ctx.z)
+    return dinv @ np.diag(gamma_exp_c1(ctx).to_vector())

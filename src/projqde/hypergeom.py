@@ -6,14 +6,19 @@ series q^{z_J}(Delta_J + O(q)) whose fixed-point restrictions have closed-form
 coefficients.  A contour-integral evaluator over a parabola provides an
 independent numeric oracle for the normalization, and the asymptotic expansion
 at large |s| (q = s^n) is exposed for Stokes-sector checks.
+
+A `QSolution` follows the evaluator protocol of `qde`: `matrix(q, log_q)` and
+`derivative(q, log_q)` give its x-coordinates and their q-derivative, an
+n-vector each.  Its residuals are the shared ones, `qde.ode_residual` for the
+differential equation and `qkz.difference_residual` for the shift equations;
+`solution_ode_residual` and `solution_qkz_residual` only call them.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -21,7 +26,8 @@ from scipy.special import loggamma
 
 from .cohomology import CohClass, NumericContext, b_morphism, vandermonde
 from .ktheory import KClass, xz_vars
-from .qde import BranchContext, coefficient_matrix, principal_log, topological_series
+from .qde import BranchContext, ode_residual, topological_series
+from .qkz import difference_residual
 from .ring import LaurentPoly
 
 
@@ -91,15 +97,15 @@ class SolutionSeries:
                 break
         return out
 
+    def _head(self, q: complex, log_q: complex | None) -> complex:
+        lq = cmath.log(q) if log_q is None else log_q
+        return self.prefactor * cmath.exp(self.exponent * (lq - 1j * cmath.pi * self.n))
+
     def restrictions(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
-        head = self.prefactor * cmath.exp(self.exponent * (lq - 1j * cmath.pi * self.n))
-        return head * self._sum(q, 0)
+        return self._head(q, log_q) * self._sum(q, 0)
 
     def restrictions_derivative(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
-        head = self.prefactor * cmath.exp(self.exponent * (lq - 1j * cmath.pi * self.n))
-        return head * self._sum(q, 1) / q
+        return self._head(q, log_q) * self._sum(q, 1) / q
 
 
 def _char_values(ctx: NumericContext) -> list[complex]:
@@ -130,8 +136,16 @@ class QSolution:
             w * s.restrictions(q, log_q) for w, s in zip(self.weights, self.series)
         )
 
-    def x_coords(self, q: complex, log_q: complex | None = None) -> np.ndarray:
+    def matrix(self, q: complex, log_q: complex | None = None) -> np.ndarray:
+        """x-coordinates of the solution."""
         return self.dinv @ self.restrictions(q, log_q)
+
+    x_coords = matrix
+
+    def derivative(self, q: complex, log_q: complex | None = None) -> np.ndarray:
+        return self.dinv @ sum(
+            w * s.restrictions_derivative(q, log_q) for w, s in zip(self.weights, self.series)
+        )
 
 
 def psi_power(m: int, ctx: NumericContext, order: int) -> QSolution:
@@ -165,23 +179,13 @@ def fundamental_matrix(ctx: NumericContext, order: int):
 
 
 def solution_ode_residual(sol: QSolution, q: complex, log_q: complex | None = None) -> float:
-    n = sol.n
-    y = sol.x_coords(q, log_q)
-    dy = sol.dinv @ sum(
-        w * s.restrictions_derivative(q, log_q) for w, s in zip(sol.weights, sol.series)
-    )
-    a = coefficient_matrix(n, sol.ctx.z, q)
-    return float(np.linalg.norm(dy - a @ y) / np.linalg.norm(y))
+    return ode_residual(sol, q, sol.n, sol.ctx.z, log_q)
 
 
 def solution_qkz_residual(
     Q: LaurentPoly, i: int, q: complex, ctx: NumericContext, order: int
 ) -> float:
-    from .qkz import qkz_operator
-
-    lhs = QSolution(Q, ctx.shift(i), order).x_coords(q)
-    rhs = qkz_operator(i, q, ctx.z, basis="x") @ QSolution(Q, ctx, order).x_coords(q)
-    return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs))
+    return difference_residual(lambda q, at: QSolution(Q, at, order).matrix(q), i, q, ctx)
 
 
 # -- contour-integral oracle -----------------------------------------------------------
@@ -223,7 +227,7 @@ def contour_oracle(
     for w in z:
         if w.real - (w.imag**2) <= p:
             raise ValueError("parabola apex must leave every z_a inside")
-    lq = principal_log(q) if log_q is None else log_q
+    lq = cmath.log(q) if log_q is None else log_q
     az = _char_values(ctx)
     base = lq - 1j * cmath.pi * n
     head = 1j * cmath.pi * sum(z)
@@ -264,43 +268,14 @@ def _adaptive_order(n: int, abs_q: float, minimum: int = 60) -> int:
     return max(minimum, int(4 * n * abs_q ** (1.0 / n)) + 40)
 
 
-def psi_power_restriction_large_s(
-    m: int, r: float, branch: BranchContext, ctx: NumericContext, point: int = 1
-) -> complex:
-    """Value of the X^m solution's restriction at a fixed point, for q = s^n
-    with s = r e^{-2 pi i phi}; the series is entire so the order adapts to r."""
-    n = ctx.n
-    q = branch.q_value(r, n)
-    lq = branch.log_q(r, n)
-    order = _adaptive_order(n, abs(q))
-    sol = psi_power(m, ctx, order)
-    return complex(sol.restrictions(q, lq)[point - 1])
-
-
 def asymptotic_ratio(m: int, r: float, branch: BranchContext, ctx: NumericContext) -> complex:
-    """Ratio of the X^m solution to its predicted leading behaviour
-    ((2 pi)^{(n-1)/2}/sqrt n) e^{i pi sum z} (e^{-i pi} zeta^m s)^{sum z + (n-1)/2}
-    e^{n s zeta^m}, with arg(e^{-i pi} zeta^m s) = 2 pi m/n - pi - 2 pi phi;
+    """Ratio of the X^m solution (weights Z_J^m on the residue series) to its
+    predicted leading behaviour, the scaled-element ratio with tag m;
     approaches 1 for phi inside (m/n - 1, m/n)."""
     n = ctx.n
-    phi = branch.phi
-    if not (m / n - 1 < phi < m / n):
+    if not (m / n - 1 < branch.phi < m / n):
         raise ValueError("phi outside the admissible window for this exponent")
-    got = psi_power_restriction_large_s(m, r, branch, ctx)
-    total = sum(ctx.z)
-    lam = total + (n - 1) / 2
-    zeta = cmath.exp(2j * cmath.pi / n)
-    s = branch.s_value(r)
-    arg = 2 * cmath.pi * m / n - cmath.pi - 2 * cmath.pi * phi
-    log_pref = lam * (math.log(r) + 1j * arg)
-    predicted = (
-        (2 * cmath.pi) ** ((n - 1) / 2)
-        / math.sqrt(n)
-        * cmath.exp(1j * cmath.pi * total)
-        * cmath.exp(log_pref)
-        * cmath.exp(n * s * zeta**m)
-    )
-    return got / predicted
+    return scaled_element_asymptotic_ratio([w**m for w in _char_values(ctx)], m, r, branch, ctx)
 
 
 def scaled_element_asymptotic_ratio(

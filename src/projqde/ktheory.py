@@ -257,6 +257,19 @@ class KClass:
             acc = acc + c.with_vars(vs) * x**j
         return acc
 
+    def restrictions(self) -> tuple[LaurentPoly, ...]:
+        """Restrictions to the n torus-fixed points, over Z1..Zn: O(j)
+        restricts to Z_a^{-j} at the point a."""
+        n, vs = self.n, zvars(self.n)
+        coords = [to_z(c, n) for c in self.ocoords]
+        return tuple(
+            sum(
+                (c * LaurentPoly.variable(vs, f"Z{a}", -j) for j, c in enumerate(coords)),
+                LaurentPoly.zero(vs),
+            )
+            for a in range(1, n + 1)
+        )
+
     def mul_class(self, other: "KClass") -> "KClass":
         """Product in the algebra: O(a) O(b) = O(a+b)."""
         f, g = self._common(other)
@@ -315,18 +328,12 @@ def _chi(f: KClass, g: KClass) -> LaurentPoly:
     return acc
 
 
-def chi_pair(f: KClass, g: KClass, cross_check: bool = False) -> LaurentPoly:
+def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
     """Equivariant Euler pairing chi(f, g) as a Laurent polynomial in Z1..Zn,
     sesquilinear over the Laurent ring (dual on the first slot).  Computed in
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
-    and zero otherwise.  With cross_check the fixed-point localization formula
-    is evaluated as a rational function and compared."""
-    acc = to_z(_chi(f, g), f.n)
-    if cross_check:
-        loc = chi_via_localization(f, g)
-        if not (loc - RationalFn(acc)).is_zero():
-            raise ArithmeticError("localization cross-check failed for chi pairing")
-    return acc
+    and zero otherwise."""
+    return to_z(_chi(f, g), f.n)
 
 
 def chi_via_localization(f: KClass, g: KClass) -> RationalFn:
@@ -335,24 +342,16 @@ def chi_via_localization(f: KClass, g: KClass) -> RationalFn:
     if f.n != g.n:
         raise ValueError("rank mismatch")
     n = f.n
-    vs = xz_vars(n)
     zv = zvars(n)
-    fl = f.to_laurent().dual()
-    gl = g.to_laurent()
+    one = LaurentPoly.one(zv)
     total = RationalFn(LaurentPoly.zero(zv))
-    for a in range(1, n + 1):
-        e = [0] * (n + 1)
-        e[vs.index(f"Z{a}")] = 1
-        fa = fl.substitute_monomial("X", 1, tuple(e)).drop_vars(["X"])
-        ga = gl.substitute_monomial("X", 1, tuple(e)).drop_vars(["X"])
-        den = LaurentPoly.one(zv)
+    for a, (fa, ga) in enumerate(zip(f.restrictions(), g.restrictions()), start=1):
         za = LaurentPoly.variable(zv, f"Z{a}")
+        den = one
         for j in range(1, n + 1):
-            if j == a:
-                continue
-            zj_inv = LaurentPoly.variable(zv, f"Z{j}", -1)
-            den = den * (LaurentPoly.one(zv) - za * zj_inv)
-        total = total + RationalFn(fa * ga, den)
+            if j != a:
+                den = den * (one - za * LaurentPoly.variable(zv, f"Z{j}", -1))
+        total = total + RationalFn(fa.dual() * ga, den)
     return total
 
 
@@ -624,10 +623,14 @@ def dioph_residual(gram: LaurentMatrix, n: int) -> LaurentPoly:
     identically zero on Gram matrices of bases of the K-theory algebra."""
     if gram.rows != n or gram.cols != n:
         raise ValueError("Gram matrix size does not match rank")
-    target = canonical_spectrum_poly(n)
-    if gram.vars == zvars(n):
-        target = to_z(target, n)
-    return canonical_char_poly(gram, n) - target
+    return _residuals(gram, n, [(canonical_char_poly(gram, n), canonical_spectrum_poly(n))])[0]
+
+
+def _residuals(gram: LaurentMatrix, n: int, pairs) -> list[LaurentPoly]:
+    """lhs - rhs per pair, over the ring of the Gram matrix: the targets rhs
+    lie in E1..En and are expanded in Z only when the Gram matrix is."""
+    over_z = gram.vars == zvars(n)
+    return [lhs - (to_z(rhs, n) if over_z else rhs) for lhs, rhs in pairs]
 
 
 def markov_residuals_rank3(gram: LaurentMatrix) -> list[LaurentPoly]:
@@ -636,17 +639,14 @@ def markov_residuals_rank3(gram: LaurentMatrix) -> list[LaurentPoly]:
     if gram.rows != 3 or not gram.is_upper_unitriangular():
         raise ValueError("need a 3x3 unitriangular Gram matrix")
     n = 3
-    vs = zvars(n)
-    gram = gram.map(lambda p: to_z(p, n))
-    power_elementary = [to_z(p, n) for p in _power_elementary(n)]
+    pe = _power_elementary(n)
     a, b, c = gram[0, 1], gram[0, 2], gram[1, 2]
     ad, bd, cd = a.dual(), b.dual(), c.dual()
-    sn_inv = LaurentPoly.monomial(vs, (-1,) * n)
     lhs1 = a * ad + b * bd + c * cd - a * bd * c
-    rhs1 = LaurentPoly.constant(vs, 3) - power_elementary[1] * sn_inv
     lhs2 = a * ad + b * bd + c * cd - ad * b * cd
-    rhs2 = LaurentPoly.constant(vs, 3) - power_elementary[2] * sn_inv * sn_inv
-    return [lhs1 - rhs1, lhs2 - rhs2]
+    return _residuals(
+        gram, n, [(lhs1, 3 - pe[1] * _en_power(n, -1)), (lhs2, 3 - pe[2] * _en_power(n, -2))]
+    )
 
 
 def markov_residuals_rank4(gram: LaurentMatrix) -> list[LaurentPoly]:
@@ -655,21 +655,14 @@ def markov_residuals_rank4(gram: LaurentMatrix) -> list[LaurentPoly]:
     if gram.rows != 4 or not gram.is_upper_unitriangular():
         raise ValueError("need a 4x4 unitriangular Gram matrix")
     n = 4
-    vs = zvars(n)
-    gram = gram.map(lambda p: to_z(p, n))
-    power_elementary = [to_z(p, n) for p in _power_elementary(n)]
+    pe = _power_elementary(n)
     a, b, c = gram[0, 1], gram[0, 2], gram[0, 3]
     d, e, f = gram[1, 2], gram[1, 3], gram[2, 3]
     ad, bd, cd, dd, ed, fd = (p.dual() for p in (a, b, c, d, e, f))
-    sn_inv = LaurentPoly.monomial(vs, (-1,) * n)
     norm2 = a * ad + b * bd + c * cd + d * dd + e * ed + f * fd
 
     # e_3(Z^4)/s_n(Z)^3 equals sum_i prod_{j!=i} Z_j / Z_i^3
     lhs1 = norm2 - ad * b * dd - ad * c * ed - bd * c * fd - dd * e * fd + ad * c * dd * fd
-    rhs1 = LaurentPoly.constant(vs, 4) + power_elementary[3] * LaurentPoly.monomial(
-        vs, (-3,) * n
-    )
-
     lhs2 = (
         -2 * norm2
         + a * bd * d + ad * b * dd + a * cd * e + ad * c * ed
@@ -677,13 +670,16 @@ def markov_residuals_rank4(gram: LaurentMatrix) -> list[LaurentPoly]:
         - a * bd * e * fd - ad * b * ed * f - b * cd * dd * e - bd * c * d * ed
         + a * ad * f * fd + b * bd * e * ed + c * cd * d * dd
     )
-    rhs2 = LaurentPoly.constant(vs, -6) + power_elementary[2] * LaurentPoly.monomial(
-        vs, (-2,) * n
-    )
-
     lhs3 = norm2 - a * bd * d - a * cd * e - b * cd * f - d * ed * f + a * cd * d * f
-    rhs3 = LaurentPoly.constant(vs, 4) + power_elementary[1] * sn_inv
-    return [lhs1 - rhs1, lhs2 - rhs2, lhs3 - rhs3]
+    return _residuals(
+        gram,
+        n,
+        [
+            (lhs1, pe[3] * _en_power(n, -3) + 4),
+            (lhs2, pe[2] * _en_power(n, -2) - 6),
+            (lhs3, pe[1] * _en_power(n, -1) + 4),
+        ],
+    )
 
 
 # -- tangent-bundle classes and named solution bases ----------------------------------

@@ -7,6 +7,14 @@ The system matrices and the coefficient recursions are written once, over
 the scalar field of z (see `cohomology`): Fractions for rational z, complex
 numbers for numeric z, rational functions in z1..zn when z is omitted.  The
 evaluators turn the coefficients into complex matrices.
+
+Every solution object (`LeveltSolution`, `TopologicalSolution` here,
+`hypergeom.QSolution`) evaluates through the same two methods,
+`matrix(q, log_q)` and `derivative(q, log_q)`, in x-coordinates: an n x n
+matrix for a fundamental solution, an n-vector for one solution; log_q
+selects the branch and defaults to the principal logarithm.  `ode_residual`
+here is the one residual of the differential equation and
+`qkz.difference_residual` the one residual of the difference equations.
 """
 
 from __future__ import annotations
@@ -43,30 +51,6 @@ class BranchContext:
 
     def log_q(self, r: float, n: int) -> complex:
         return n * self.log_s(r)
-
-
-def principal_log(q: complex) -> complex:
-    return cmath.log(q)
-
-
-@dataclass(frozen=True)
-class MatrixSeries:
-    """Truncated matrix-valued power series in the named variable."""
-
-    variable: str
-    coeffs: tuple
-    order: int
-    branch: BranchContext | None = None
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError("need exactly order+1 coefficients")
-
-    def value(self, t: complex) -> np.ndarray:
-        acc = np.zeros_like(np.asarray(self.coeffs[0], dtype=complex))
-        for k in range(self.order, -1, -1):
-            acc = acc * t + np.asarray(self.coeffs[k], dtype=complex)
-        return acc
 
 
 # -- the equation ---------------------------------------------------------------------
@@ -116,28 +100,28 @@ class LeveltSolution:
         self.n = n
         self.z = tuple(z)
         self.order = order
-        coeffs = levelt_coefficients(n, z, order)
-        self.series = MatrixSeries("q", tuple(np.asarray(g, dtype=complex) for g in coeffs), order)
+        self.coeffs = [np.asarray(g, dtype=complex) for g in levelt_coefficients(n, z, order)]
         zc = [complex(w) for w in z]
         self.d, self.dinv = vandermonde(n, zc)
         self.zc = np.array(zc)
 
     def gauge(self, q: complex) -> np.ndarray:
-        return self.series.value(q)
+        """1 + sum_k G_k q^k, by Horner's rule."""
+        acc = np.zeros_like(self.coeffs[0])
+        for g in reversed(self.coeffs):
+            acc = acc * q + g
+        return acc
 
     def matrix(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
+        lq = cmath.log(q) if log_q is None else log_q
         qz = np.diag(np.exp(self.zc * lq))
         return self.dinv @ self.gauge(q) @ qz
 
     def derivative(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
+        lq = cmath.log(q) if log_q is None else log_q
         qz = np.diag(np.exp(self.zc * lq))
         s = self.gauge(q)
-        ds = sum(
-            k * np.asarray(self.series.coeffs[k]) * q ** (k - 1)
-            for k in range(1, self.order + 1)
-        )
+        ds = sum(k * self.coeffs[k] * q ** (k - 1) for k in range(1, self.order + 1))
         return self.dinv @ (ds @ qz + s @ np.diag(self.zc / q) @ qz)
 
     def monodromy(self) -> np.ndarray:
@@ -183,40 +167,33 @@ class TopologicalSolution:
         self.eta = eta_gram(n, [complex(w) for w in z])
         self.eta_inv = np.linalg.inv(self.eta)
 
-    def _theta_powers(self, q: complex, lq: complex) -> np.ndarray:
-        """hat{Y}[h][j] = (q d/dq)^h a_{j+1}(q)."""
+    def _theta_powers(self, lq: complex) -> np.ndarray:
+        """hat{Y}[h][j] = (q d/dq)^h a_{j+1}(q) for h = 0..n."""
         n = self.n
-        out = np.zeros((n, n), dtype=complex)
+        out = np.zeros((n + 1, n), dtype=complex)
         ds = np.arange(self.order + 1)
         for j in range(n):
             expo = self.zc[j] + ds
             vals = self.a_coeffs[j] * np.exp(expo * lq)
-            for h in range(n):
+            for h in range(n + 1):
                 out[h, j] = np.sum(vals)
                 vals = vals * expo
         return out
 
+    def _in_x(self, yhat: np.ndarray) -> np.ndarray:
+        return self.eta_inv @ (yhat @ self.levelt.dinv.T) @ self.eta
+
     def matrix(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
-        yhat = self._theta_powers(q, lq) @ self.levelt.dinv.T
-        return self.eta_inv @ yhat @ self.eta
+        lq = cmath.log(q) if log_q is None else log_q
+        return self._in_x(self._theta_powers(lq)[: self.n])
 
     def matrix_via_levelt(self, q: complex, log_q: complex | None = None) -> np.ndarray:
         return self.levelt.matrix(q, log_q) @ self.levelt.d
 
     def derivative(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        lq = principal_log(q) if log_q is None else log_q
-        n = self.n
-        out = np.zeros((n, n), dtype=complex)
-        ds = np.arange(self.order + 1)
-        for j in range(n):
-            expo = self.zc[j] + ds
-            vals = self.a_coeffs[j] * np.exp(expo * lq) * expo / q
-            for h in range(n):
-                out[h, j] = np.sum(vals)
-                vals = vals * expo
-        yhat = out @ self.levelt.dinv.T
-        return self.eta_inv @ yhat @ self.eta
+        """d/dq theta^h a_j = theta^{h+1} a_j / q: rows 1..n of the theta powers."""
+        lq = cmath.log(q) if log_q is None else log_q
+        return self._in_x(self._theta_powers(lq)[1:] / q)
 
 
 def topological_series(n: int, z: Sequence, order: int) -> TopologicalSolution:
@@ -224,8 +201,9 @@ def topological_series(n: int, z: Sequence, order: int) -> TopologicalSolution:
 
 
 def ode_residual(solution, q: complex, n: int, z: Sequence, log_q: complex | None = None) -> float:
-    """Relative operator-norm residual of dY/dq = A(q) Y for an evaluator with
-    matrix/derivative methods."""
+    """Relative residual |dY/dq - A(q) Y| / |Y| of a solution object with
+    `matrix` and `derivative` methods: the operator norm for a fundamental
+    solution, the Euclidean norm for one solution."""
     if q == 0:
         raise ValueError("residual undefined at q = 0")
     y = solution.matrix(q, log_q)

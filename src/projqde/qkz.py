@@ -149,7 +149,9 @@ def difference_residual(
     ctx: NumericContext,
 ) -> float:
     """Relative residual of Y(q, z - e_i) = K_i(q, z) Y(q, z) in the x-basis
-    trivialization; the callable evaluates the candidate at arbitrary z."""
+    trivialization; the callable evaluates the candidate at arbitrary z, a
+    fundamental matrix (operator norm) or one solution vector (Euclidean
+    norm)."""
     shifted = ctx.shift(i)
     lhs = solution(q, shifted)
     rhs = qkz_operator(i, q, ctx.z, basis="x") @ solution(q, ctx)

@@ -784,18 +784,18 @@ class LaurentMatrix:
                     return False
         return True
 
-    def det(self) -> LaurentPoly:
-        """Determinant by Laplace expansion with column-subset memoization."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
+    def _minors(self, rows: Sequence[int]) -> Callable[[tuple[int, ...]], LaurentPoly]:
+        """The minors on the given rows, by Laplace expansion along them in
+        order: minor(cols) is the determinant of the last len(cols) of these
+        rows, restricted to the columns cols.  Column subsets are memoized,
+        so the maximal minors of one row set share one expansion."""
         zero = LaurentPoly.zero(self.vars)
         cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(self.vars)}
 
         def minor(cols: tuple[int, ...]) -> LaurentPoly:
             if cols in cache:
                 return cache[cols]
-            row = n - len(cols)
+            row = rows[len(rows) - len(cols)]
             acc = zero
             for pos, c in enumerate(cols):
                 a = self.entries[row][c]
@@ -807,11 +807,18 @@ class LaurentMatrix:
             cache[cols] = acc
             return acc
 
-        return minor(tuple(range(n)))
+        return minor
+
+    def det(self) -> LaurentPoly:
+        """Determinant by Laplace expansion with column-subset memoization."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of non-square matrix")
+        return self._minors(range(self.rows))(tuple(range(self.rows)))
 
     def inverse(self) -> "LaurentMatrix":
-        """Exact inverse over the Laurent ring: the adjugate (cofactors by
-        `det`) times the inverse of the determinant.
+        """Exact inverse over the Laurent ring: the adjugate times the inverse
+        of the determinant.  Column j of the adjugate holds the n cofactors of
+        row j, read from one memoized expansion of the other rows.
 
         The matrix is invertible over the Laurent ring exactly when its
         determinant is a unit monomial, as it is for every unitriangular
@@ -824,21 +831,12 @@ class LaurentMatrix:
         if not d.is_unit_monomial():
             raise ValueError("matrix is not invertible over the Laurent ring (det not a unit)")
         dinv = unit_pow(d, -1)
-        adj = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                sub = [
-                    [self.entries[r][s] for s in range(n) if s != i]
-                    for r in range(n)
-                    if r != j
-                ]
-                cof = LaurentMatrix(sub).det() if n > 1 else LaurentPoly.one(self.vars)
-                if (i + j) % 2 == 1:
-                    cof = -cof
-                row.append(cof * dinv)
-            adj.append(row)
-        return LaurentMatrix(adj)
+        cols = []
+        for j in range(n):
+            minor = self._minors([r for r in range(n) if r != j])
+            cofs = [minor(tuple(s for s in range(n) if s != i)) for i in range(n)]
+            cols.append([(-c if (i + j) % 2 else c) * dinv for i, c in enumerate(cofs)])
+        return LaurentMatrix([list(row) for row in zip(*cols)])
 
     def __str__(self) -> str:
         return "[" + ",\n ".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries) + "]"

@@ -35,6 +35,14 @@ def test_json_deterministic(capsys):
     assert json.loads(out1)["char_poly_residual_zero"] is True
 
 
+def test_dioph_check_rank4_six_letter_word(capsys):
+    code, out = run(capsys, "dioph-check", "--n", "4", "--word", "1,1,1,1,1,1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["char_poly_residual_zero"] is True
+    assert rep["markov_residuals_zero"] == [True, True, True]
+
+
 def test_solve_qde(capsys):
     code, out = run(
         capsys, "solve-qde", "--n", "2", "--z", "0,0.37", "--q", "0.3", "--order", "30",

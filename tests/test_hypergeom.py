@@ -22,6 +22,7 @@ from projqde.hypergeom import (
     solution_qkz_residual,
 )
 from projqde.ktheory import KClass, exterior_tangent_class, xz_vars
+from projqde.qkz import difference_residual
 from projqde.qde import BranchContext, topological_series
 from projqde.ring import LaurentPoly, sym_poly
 
@@ -60,6 +61,27 @@ def test_ode_and_qkz_residuals(ctx):
         Q = LaurentPoly.variable(xz_vars(n), "X", m)
         for i in range(1, n + 1):
             assert solution_qkz_residual(Q, i, q, ctx, 40) < 1e-8
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])
+def test_corrupted_series_coefficient_fails_both_residuals(ctx):
+    n, q, order = ctx.n, 0.2, 40
+    Q = LaurentPoly.variable(xz_vars(n), "X")
+
+    def solution(at, corrupt):
+        sol = QSolution(Q, at, order)
+        if corrupt:
+            s = sol.series[0]
+            s._nums[2] = s._nums[2] * 1.01  # the coefficient of q^(z_1 + 2)
+        return sol
+
+    assert solution_ode_residual(solution(ctx, False), q) < 1e-8
+    assert solution_ode_residual(solution(ctx, True), q) > 1e-6
+    for i in range(1, n + 1):
+        good = difference_residual(lambda p, at: solution(at, False).matrix(p), i, q, ctx)
+        bad = difference_residual(lambda p, at: solution(at, True).matrix(p), i, q, ctx)
+        assert good < 1e-8
+        assert bad > 1e-6
 
 
 def test_fundamental_matrix_invertible():
@@ -135,6 +157,43 @@ def test_asymptotic_ratio_rank2():
         br = BranchContext(phi=m / 2 - 0.05)
         ratio = asymptotic_ratio(m, 15, br, CTX2)
         assert abs(ratio - 1) <= 0.05
+
+
+def _x_power_ratio_reference(m, r, branch, ctx):
+    """Reference: the X^m solution over its leading term written as
+    e^{i pi sum z} (e^{-i pi} zeta^m s)^{sum z + (n-1)/2} ..., a second form of
+    the prediction `scaled_element_asymptotic_ratio` writes with
+    e^{-i pi (n-1)/2} (zeta^m s)^{sum z + (n-1)/2}."""
+    n = ctx.n
+    q, lq = branch.q_value(r, n), branch.log_q(r, n)
+    got = psi_power(m, ctx, max(60, int(4 * n * abs(q) ** (1 / n)) + 40)).restrictions(q, lq)[0]
+    lam = sum(ctx.z) + (n - 1) / 2
+    arg = 2 * cmath.pi * m / n - cmath.pi - 2 * cmath.pi * branch.phi
+    predicted = (
+        (2 * cmath.pi) ** ((n - 1) / 2)
+        / n**0.5
+        * cmath.exp(1j * cmath.pi * sum(ctx.z))
+        * cmath.exp(lam * (cmath.log(r) + 1j * arg))
+        * cmath.exp(n * branch.s_value(r) * cmath.exp(2j * cmath.pi * m / n))
+    )
+    return got / predicted
+
+
+@pytest.mark.parametrize("ctx", [CTX2, CTX3], ids=["n2", "n3"])
+def test_asymptotic_ratio_is_the_scaled_ratio_of_x_powers(ctx):
+    n = ctx.n
+    for m in range(n):
+        br = BranchContext(phi=m / n - 0.05)
+        weights = [cmath.exp(2j * cmath.pi * w) ** m for w in ctx.z]
+        got = asymptotic_ratio(m, 12.0, br, ctx)
+        assert got == scaled_element_asymptotic_ratio(weights, m, 12.0, br, ctx)
+        want = _x_power_ratio_reference(m, 12.0, br, ctx)
+        assert abs(got - want) <= 1e-10 * abs(want)
+        # the weights are those of the solution attached to X^m
+        assert np.allclose(psi_power(m, ctx, 10).weights, weights, rtol=1e-14)
+        for phi in (m / n, m / n - 1, m / n + 0.2):
+            with pytest.raises(ValueError):
+                asymptotic_ratio(m, 12.0, BranchContext(phi=phi), ctx)
 
 
 def test_asymptotic_ratio_window_guard_and_drift():

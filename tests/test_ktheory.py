@@ -129,7 +129,7 @@ def test_chi_localization_cross_check(n):
             (mutated[1], pairs[0][1]),
         ]
     for f, g in pairs:
-        closed = chi_pair(f, g, cross_check=True)
+        closed = chi_pair(f, g)
         assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
 
 
@@ -150,8 +150,102 @@ def braid_images(draw):
 def test_chi_localization_on_braid_orbits(basis):
     for f in basis.elements:
         for g in basis.elements:
-            closed = chi_pair(f, g, cross_check=True)
+            closed = chi_pair(f, g)
             assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+
+
+def _restrictions_by_substitution(f):
+    """Reference: X -> Z_a in the Laurent form of the class."""
+    n = f.n
+    lf = f.to_laurent()
+    out = []
+    for a in range(1, n + 1):
+        e = [0] * (n + 1)
+        e[lf.vars.index(f"Z{a}")] = 1
+        out.append(lf.substitute_monomial("X", 1, tuple(e)).drop_vars(["X"]))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_restrictions_match_substitution(n):
+    rng = random.Random(5)
+    vs = zvars(n)
+    lines = [line(n, i) for i in (-n - 1, -1, 0, 2, n)]
+    tangent = [exterior_tangent_class(h, 1, n) for h in range(n)]
+    mutated = list(braid_act(BraidWord((1, -(n - 1))), beilinson_basis(n)).elements)
+    rescaled = list(structured_basis("Qpt", -1, n).elements)
+    rho = LaurentPoly.variable(vs, "Z1", 2) - LaurentPoly.variable(vs, f"Z{n}", -1)
+    torus = [e.scale(rho) for e in mutated[:2] + lines[:1]]
+    classes = lines + tangent + mutated + rescaled + torus + [rand_kclass(rng, n) for _ in range(3)]
+    assert {f.ring for f in classes} == {evars(n), vs}
+    for f in classes:
+        assert f.restrictions() == _restrictions_by_substitution(f)
+
+
+def _markov_reference(gram, n):
+    """Reference: the Markov residuals with every Gram entry expanded in
+    Z1..Zn before the products."""
+    vs = zvars(n)
+    gram = gram.map(lambda p: to_z(p, n))
+    pe = [to_z(p, n) for p in _power_elementary(n)]
+
+    def inv_sn(k):
+        return LaurentPoly.monomial(vs, (-k,) * n)
+
+    if n == 3:
+        a, b, c = gram[0, 1], gram[0, 2], gram[1, 2]
+        ad, bd, cd = a.dual(), b.dual(), c.dual()
+        lhs1 = a * ad + b * bd + c * cd - a * bd * c
+        lhs2 = a * ad + b * bd + c * cd - ad * b * cd
+        return [lhs1 - (3 - pe[1] * inv_sn(1)), lhs2 - (3 - pe[2] * inv_sn(2))]
+    a, b, c = gram[0, 1], gram[0, 2], gram[0, 3]
+    d, e, f = gram[1, 2], gram[1, 3], gram[2, 3]
+    ad, bd, cd, dd, ed, fd = (p.dual() for p in (a, b, c, d, e, f))
+    norm2 = a * ad + b * bd + c * cd + d * dd + e * ed + f * fd
+    lhs1 = norm2 - ad * b * dd - ad * c * ed - bd * c * fd - dd * e * fd + ad * c * dd * fd
+    lhs2 = (
+        -2 * norm2
+        + a * bd * d + ad * b * dd + a * cd * e + ad * c * ed
+        + bd * c * fd + b * cd * f + d * ed * f + dd * e * fd
+        - a * bd * e * fd - ad * b * ed * f - b * cd * dd * e - bd * c * d * ed
+        + a * ad * f * fd + b * bd * e * ed + c * cd * d * dd
+    )
+    lhs3 = norm2 - a * bd * d - a * cd * e - b * cd * f - d * ed * f + a * cd * d * f
+    return [
+        lhs1 - (4 + pe[3] * inv_sn(3)),
+        lhs2 - (-6 + pe[2] * inv_sn(2)),
+        lhs3 - (4 + pe[1] * inv_sn(1)),
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_markov_residuals_over_the_gram_ring(n):
+    markov = markov_residuals_rank3 if n == 3 else markov_residuals_rank4
+    ev = evars(n)
+    # braid-orbit Gram matrices over E1..En: residuals zero there
+    for basis in (beilinson_basis(n), structured_basis("Qpt", 0, n)):
+        for word in ((), (1,), (2, -1), (1, 1, n - 1)):
+            g = gram_matrix(braid_act(BraidWord(word), basis))
+            assert g.vars == ev
+            res = markov(g)
+            assert all(r.vars == ev and r.is_zero() for r in res)
+            assert [to_z(r, n) for r in res] == _markov_reference(g, n)
+    # unitriangular matrices off the orbit: nonzero residuals, over E and over Z
+    rng = random.Random(8)
+
+    def entry(i, j):
+        if i >= j:
+            return LaurentPoly.one(ev) if i == j else LaurentPoly.zero(ev)
+        # only e_n is a unit of R(GL_n)
+        exps = [tuple(rng.randint(0, 1) for _ in ev[:-1]) + (rng.randint(-1, 1),) for _ in range(2)]
+        return LaurentPoly(ev, {e: rng.randint(-2, 2) for e in exps})
+
+    for _ in range(3):
+        g = LaurentMatrix([[entry(i, j) for j in range(n)] for i in range(n)])
+        want = _markov_reference(g, n)
+        assert not all(r.is_zero() for r in want)
+        assert [to_z(r, n) for r in markov(g)] == want
+        assert markov(g.map(lambda p: to_z(p, n))) == want
 
 
 def test_chi_sesquilinearity():

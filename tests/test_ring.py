@@ -24,6 +24,7 @@ from projqde.ring import (
     reduce_root_of_unity,
     stirling,
     sym_poly,
+    unit_pow,
     vanishes_at_root_of_unity,
     zvars,
 )
@@ -163,6 +164,36 @@ def test_matrix_inverse_paths():
     bad = LaurentMatrix([[one + z1, zero], [zero, one]])
     with pytest.raises(ValueError):
         bad.inverse()
+
+
+def _cofactor_inverse(m):
+    """Reference inverse: each adjugate entry by its own determinant."""
+    n = m.rows
+    dinv = unit_pow(m.det(), -1)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sub = [[m.entries[r][s] for s in range(n) if s != i] for r in range(n) if r != j]
+            cof = LaurentMatrix(sub).det() if n > 1 else LaurentPoly.one(m.vars)
+            row.append((-cof if (i + j) % 2 else cof) * dinv)
+        rows.append(row)
+    return LaurentMatrix(rows)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_inverse_of_twisted_stokes_coordinates(n):
+    # the matrices `stokes_matrices` inverts: line-bundle coordinates of a
+    # sector basis twisted by X^-(k+n-1); not triangular
+    for kind in ("Vprime", "Vdprime"):
+        for k in range(-2, 3):
+            basis = stokes_basis(SectorId(kind, k), n)
+            a = _columns_by_tag(basis, list(reversed(basis.eigen_tags)), -(k + n - 1))
+            assert not a.is_upper_unitriangular() and not a.is_lower_unitriangular()
+            inv = a.inverse()
+            assert a * inv == LaurentMatrix.identity(n, a.vars)
+            assert inv * a == LaurentMatrix.identity(n, a.vars)
+            assert inv == _cofactor_inverse(a)
 
 
 def _laurent_polys(vars, max_terms=3, span=2):
