@@ -3,7 +3,10 @@
 The algebra is C[X^{±1}, Z_1^{±1}..Z_n^{±1}] / (prod_j (X - Z_j)), with X the
 class of the tautological line bundle O(-1).  A class is stored by its
 coordinates in the line-bundle basis O(0)..O(n-1), where the Euler pairing is
-the fixed Beilinson Gram matrix chi(O(a), O(b)) = h_{b-a}(Z^{-1}).
+chi(f, g) = (f^*H) g with H the fixed Beilinson Gram matrix, H_ab =
+chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  A caller that
+pairs f with several classes computes the columns f^*H once, from f's own
+coordinates, and keeps them no longer than its own call.
 
 The coordinates lie in one of two coefficient rings, chosen by the input:
 
@@ -65,6 +68,8 @@ def _en_power(n: int, a: int, c=1) -> LaurentPoly:
 def _e_monomial_in_z(n: int, exps: tuple[int, ...]) -> LaurentPoly:
     """prod_k e_k(Z)^{exps_k} expanded in Z1..Zn."""
     for k in range(n - 1):
+        if exps[k] < 0:
+            raise ValueError(f"not in R(GL_{n}): E{k + 1} has the negative power {exps[k]}")
         if exps[k]:
             lower = exps[:k] + (exps[k] - 1,) + exps[k + 1 :]
             return _e_monomial_in_z(n, lower) * sym_poly("elementary", k + 1, n)
@@ -116,15 +121,8 @@ def _o_power_coords(vs: tuple[str, ...], i: int) -> tuple[LaurentPoly, ...]:
 def _expand(vs: tuple[str, ...], terms) -> tuple[LaurentPoly, ...]:
     """Line-bundle coordinates of sum c [O(i)] over (c, i) in terms, for
     coefficients c in the ring with variables vs."""
-    n = len(vs)
-    acc = [LaurentPoly.zero(vs)] * n
-    for c, i in terms:
-        if c.is_zero():
-            continue
-        for a, b in enumerate(_o_power_coords(vs, i)):
-            if not b.is_zero():
-                acc[a] = acc[a] + c * b
-    return tuple(acc)
+    parts = [(c, _o_power_coords(vs, i)) for c, i in terms if not c.is_zero()]
+    return tuple(LaurentPoly.sum_of_products(vs, ((c, o[a]) for c, o in parts)) for a in range(len(vs)))
 
 
 @lru_cache(maxsize=None)
@@ -136,10 +134,8 @@ def _h_dual(vs: tuple[str, ...], k: int) -> LaurentPoly:
     if k == 0:
         return LaurentPoly.one(vs)
     # h_k = sum_{i=1..min(k,n)} (-1)^{i-1} e_i h_{k-i}, taken at Z^{-1}
-    acc = LaurentPoly.zero(vs)
-    for i in range(1, min(k, n) + 1):
-        acc = acc + _e(n, i).dual() * _h_dual(vs, k - i) * (-1) ** (i - 1)
-    return acc
+    pairs = ((_e(n, i).dual() * (-1) ** (i - 1), _h_dual(vs, k - i)) for i in range(1, min(k, n) + 1))
+    return LaurentPoly.sum_of_products(vs, pairs)
 
 
 class KClass:
@@ -251,23 +247,17 @@ class KClass:
 
     def to_laurent(self) -> LaurentPoly:
         vs = xz_vars(self.n)
-        acc = LaurentPoly.zero(vs)
-        x = LaurentPoly.variable(vs, "X")
-        for j, c in enumerate(self.coeffs):
-            acc = acc + c.with_vars(vs) * x**j
-        return acc
+        pairs = [(c.with_vars(vs), LaurentPoly.variable(vs, "X", j)) for j, c in enumerate(self.coeffs)]
+        return LaurentPoly.sum_of_products(vs, pairs)
 
     def restrictions(self) -> tuple[LaurentPoly, ...]:
         """Restrictions to the n torus-fixed points, over Z1..Zn: O(j)
         restricts to Z_a^{-j} at the point a."""
-        n, vs = self.n, zvars(self.n)
-        coords = [to_z(c, n) for c in self.ocoords]
+        vs = zvars(self.n)
+        cs = [to_z(c, self.n) for c in self.ocoords]
         return tuple(
-            sum(
-                (c * LaurentPoly.variable(vs, f"Z{a}", -j) for j, c in enumerate(coords)),
-                LaurentPoly.zero(vs),
-            )
-            for a in range(1, n + 1)
+            LaurentPoly.sum_of_products(vs, [(c, LaurentPoly.variable(vs, z, -j)) for j, c in enumerate(cs)])
+            for z in vs
         )
 
     def mul_class(self, other: "KClass") -> "KClass":
@@ -310,22 +300,34 @@ def serre_twist(e: KClass) -> KClass:
 # -- Euler pairing -----------------------------------------------------------------
 
 
-def _chi(f: KClass, g: KClass) -> LaurentPoly:
-    """chi(f, g) over the common coefficient ring of f and g, summed per
-    column: sum_b g_b (sum_{a<=b} f_a^* h_{b-a}(Z^{-1}))."""
-    f, g = f._common(g)
+def _columns(f: KClass) -> tuple[LaurentPoly, ...]:
+    """The row vector f^*H over the ring of f, H the Beilinson Gram matrix:
+    column b is sum_{a<=b} f_a^* h_{b-a}(Z^{-1}).  It depends on f's own
+    coordinates only; callers keep it for the length of one call."""
     vs = f.ring
     fd = [c.dual() for c in f.ocoords]
-    acc = LaurentPoly.zero(vs)
-    for b, gb in enumerate(g.ocoords):
-        if gb.is_zero():
-            continue
-        col = LaurentPoly.zero(vs)
-        for a in range(b + 1):
-            if not fd[a].is_zero():
-                col = col + fd[a] * _h_dual(vs, b - a)
-        acc = acc + gb * col
-    return acc
+    return tuple(
+        LaurentPoly.sum_of_products(vs, ((fd[a], _h_dual(vs, b - a)) for a in range(b + 1)))
+        for b in range(f.n)
+    )
+
+
+def _pair(cols: tuple[LaurentPoly, ...], g: KClass) -> LaurentPoly:
+    """chi(f, g) = (f^*H) g from the columns f^*H of f, for g over their ring."""
+    return LaurentPoly.sum_of_products(g.ring, zip(cols, g.ocoords))
+
+
+def _chi(f: KClass, g: KClass) -> LaurentPoly:
+    """chi(f, g) = (f^*H) g over the common coefficient ring of f and g."""
+    f, g = f._common(g)
+    return _pair(_columns(f), g)
+
+
+def _one_ring(els) -> list[KClass]:
+    """The classes over one ring: E1..En when all of them are, else Z1..Zn."""
+    if any(e.ring != els[0].ring for e in els):
+        return [e._in_z() for e in els]
+    return list(els)
 
 
 def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
@@ -398,13 +400,13 @@ class ExceptionalBasis:
         return self.elements[0].n
 
     def is_exceptional(self) -> bool:
-        n = self.n
-        for i, ei in enumerate(self.elements):
-            if _chi(ei, ei) != 1:
+        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j, with the
+        columns of each e_j taken from its own coordinates."""
+        els = _one_ring(self.elements)
+        for j, ej in enumerate(els):
+            cols = _columns(ej)
+            if _pair(cols, ej) != 1 or any(not _pair(cols, ei).is_zero() for ei in els[:j]):
                 return False
-            for j in range(i + 1, n):
-                if not _chi(self.elements[j], ei).is_zero():
-                    return False
         return True
 
     def __eq__(self, other) -> bool:
@@ -441,18 +443,18 @@ def beilinson_basis(n: int) -> ExceptionalBasis:
 def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
     """G_ij = chi(e_i, e_j) over the coefficient ring of the basis: E1..En
     when every element is equivariant, Z1..Zn otherwise."""
-    els = basis.elements
-    if any(e.ring != els[0].ring for e in els):
-        els = [e._in_z() for e in els]
-    return LaurentMatrix([[_chi(ei, ej) for ej in els] for ei in els])
+    els = _one_ring(basis.elements)
+    return LaurentMatrix([[_pair(cols, ej) for ej in els] for cols in map(_columns, els)])
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
     """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e."""
-    if _chi(e, e) != 1:
+    e, f = e._common(f)
+    cols = _columns(e)
+    if _pair(cols, e) != 1:
         raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
     if side == "left":
-        return f - e.scale(_chi(e, f))
+        return f - e.scale(_pair(cols, f))
     if side == "right":
         return f - e.scale(_chi(f, e).dual())
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
@@ -604,11 +606,11 @@ def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:
     through the elementary symmetric functions:
     sum_j lambda^{n-j} (-scale)^j e_j(Z^n)."""
     vs = (LAMBDA,) + scale.vars
-    acc = LaurentPoly.zero(vs)
-    for j, ej in enumerate(_power_elementary(n)):
-        coeff = ((-scale) ** j * ej).with_vars(vs)
-        acc = acc + coeff * LaurentPoly.variable(vs, LAMBDA, n - j)
-    return acc
+    pairs = (
+        (((-scale) ** j * ej).with_vars(vs), LaurentPoly.variable(vs, LAMBDA, n - j))
+        for j, ej in enumerate(_power_elementary(n))
+    )
+    return LaurentPoly.sum_of_products(vs, pairs)
 
 
 def canonical_spectrum_poly(n: int) -> LaurentPoly:

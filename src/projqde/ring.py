@@ -77,6 +77,21 @@ def _unpack(key: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _add_product(tm: dict, t1: dict, t2: dict) -> None:
+    """Add the product of the packed terms t1 and t2 into tm, term by term,
+    dropping a key when its sum reaches zero."""
+    get = tm.get
+    terms2 = list(t2.items())
+    for k1, c1 in t1.items():
+        for k2, c2 in terms2:
+            k = k1 + k2  # the product of the two monomials
+            s = get(k, 0) + c1 * c2
+            if s:
+                tm[k] = s
+            else:
+                del tm[k]
+
+
 class _Terms(Mapping):
     """Read-only view of packed terms keyed by exponent tuples: its length is
     read off the packed dict, its items are decoded on first use."""
@@ -255,19 +270,26 @@ class LaurentPoly:
             )
         self._check_context(other)
         tm: dict[int, Fraction | int] = {}
-        get = tm.get
-        terms2 = list(other._t.items())
-        for k1, c1 in self._t.items():
-            for k2, c2 in terms2:
-                k = k1 + k2  # the product of the two monomials
-                s = get(k, 0) + c1 * c2
-                if s:
-                    tm[k] = s
-                else:
-                    del tm[k]
+        _add_product(tm, self._t, other._t)
         return LaurentPoly._raw(self.vars, tm, self._b + other._b)
 
     __rmul__ = __mul__
+
+    @classmethod
+    def sum_of_products(cls, vars: Sequence[str], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]):
+        """sum a * b over the pairs (a, b) of polynomials in the context vars,
+        summed into one dict; its bound is the largest a._b + b._b over the
+        pairs whose factors are both nonzero."""
+        vs = tuple(vars)
+        tm: dict[int, Fraction | int] = {}
+        b = 0
+        for p, q in pairs:
+            if p.vars != vs or q.vars != vs:
+                raise ValueError(f"variable-context mismatch: {p.vars} * {q.vars} in {vs}")
+            if p._t and q._t:
+                _add_product(tm, p._t, q._t)
+                b = max(b, p._b + q._b)
+        return cls._raw(vs, tm, b)
 
     def __truediv__(self, other) -> "RationalFn":
         """Division lands in the field of fractions."""

@@ -33,7 +33,8 @@ from projqde.ktheory import (
     to_z,
     xz_vars,
 )
-from projqde.ktheory import _power_elementary
+from projqde import ktheory
+from projqde.ktheory import _chi, _h_dual, _power_elementary
 from projqde.ring import LaurentMatrix, LaurentPoly, RationalFn, sym_poly, zvars
 
 
@@ -152,6 +153,91 @@ def test_chi_localization_on_braid_orbits(basis):
         for g in basis.elements:
             closed = chi_pair(f, g)
             assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+
+
+def _chi_reference(f, g):
+    """chi(f, g) as a double sum over the common ring, column by column:
+    sum_b g_b (sum_{a<=b} f_a^* h_{b-a}(Z^{-1}))."""
+    f, g = f._common(g)
+    vs = f.ring
+    fd = [c.dual() for c in f.ocoords]
+    acc = LaurentPoly.zero(vs)
+    for b, gb in enumerate(g.ocoords):
+        col = LaurentPoly.zero(vs)
+        for a in range(b + 1):
+            col = col + fd[a] * _h_dual(vs, b - a)
+        acc = acc + gb * col
+    return acc
+
+
+def _is_exceptional_reference(els):
+    return all(
+        _chi_reference(e, e) == 1 and all(_chi_reference(f, e).is_zero() for f in els[i + 1 :])
+        for i, e in enumerate(els)
+    )
+
+
+def _scaled(basis, chars):
+    """Each element times the torus character Z^a (None: left as it is)."""
+    vs = zvars(basis.n)
+    els = [e if a is None else e.scale(LaurentPoly.monomial(vs, a)) for e, a in zip(basis.elements, chars)]
+    return ExceptionalBasis(els, verify=False)
+
+
+def _swapped(basis, i, j):
+    els = list(basis.elements)
+    els[i], els[j] = els[j], els[i]
+    return ExceptionalBasis(els, verify=False)
+
+
+def _pairing_cases():
+    """Braid orbits of the Beilinson and Qpt bases at n = 3..6 over E1..En,
+    torus-scaled (fully or in part) bases at n = 3, 4 over Z1..Zn, and each
+    of them with two elements swapped."""
+    rng = random.Random(31)
+    out = []
+    for n in (3, 4, 5, 6):
+        for base in (beilinson_basis(n), structured_basis("Qpt", -1, n)):
+            word = BraidWord(tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(3)))
+            out.append(braid_act(word, base))
+    for n in (3, 4):
+        orbit = braid_act(BraidWord((1, -(n - 1))), structured_basis("Qpt", 0, n))
+        chars = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+        out += [_scaled(orbit, chars), _scaled(orbit, [c if k % 2 else None for k, c in enumerate(chars)])]
+    return out + [_swapped(b, 0, b.n - 2) for b in out]
+
+
+def test_pairing_by_columns_matches_the_double_sum():
+    for basis in _pairing_cases():
+        els = basis.elements
+        assert all(_chi(f, g) == _chi_reference(f, g) for f in els for g in els)
+        if len({e.ring for e in els}) > 1:  # a Gram matrix over Z1..Zn
+            els = [e._in_z() for e in els]
+        assert gram_matrix(basis) == LaurentMatrix([[_chi_reference(f, g) for g in els] for f in els])
+        assert basis.is_exceptional() == _is_exceptional_reference(els)
+    rng = random.Random(32)
+    for n in (2, 3, 4):
+        zs = [rand_kclass(rng, n, span=2) for _ in range(3)]
+        es = [line(n, -1), exterior_tangent_class(1, 2, n)]
+        for f in zs + es:
+            for g in zs + es:
+                assert _chi(f, g) == _chi_reference(f, g)
+
+
+def test_verification_checks_the_classes(monkeypatch):
+    n = 5
+    orbit = braid_act(BraidWord((1, -3, 2)), beilinson_basis(n))
+    assert orbit.is_exceptional() and not _swapped(orbit, 1, 3).is_exceptional()
+    torus = _scaled(beilinson_basis(4), [(1, 0, -1, 2), (0, 2, 0, 0), (-1, -1, 0, 1), (3, 0, 0, -2)])
+    assert torus.is_exceptional() and not _swapped(torus, 0, 2).is_exceptional()
+    # a wrong mutation is caught: the columns come from the classes the
+    # moves return, never from the mutation formula
+    mutate_ok = ktheory.mutate
+    monkeypatch.setattr(ktheory, "mutate", lambda side, e, f: mutate_ok(side, e, f) + e)
+    for basis in (orbit, torus):
+        for letter in (2, -1):
+            with pytest.raises(ArithmeticError):
+                braid_act(BraidWord((letter,)), basis)
 
 
 def _restrictions_by_substitution(f):
@@ -312,10 +398,15 @@ def test_mutations_inverse_on_orthogonal_argument():
 
 
 def test_mutation_requires_exceptional_pivot():
-    n = 2
-    bad = line(n, 0) + line(n, 1)
-    with pytest.raises(ValueError):
-        mutate("left", bad, line(n, 0))
+    torus = line(4, 1).scale(LaurentPoly.monomial(zvars(4), (1, 0, -2, 0)))
+    for bad, f in (
+        (line(2, 0) + line(2, 1), line(2, 0)),
+        (exterior_tangent_class(1, 0, 5) + line(5, 3), line(5, 2)),
+        (torus + line(4, 1), torus),
+    ):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError):
+                mutate(side, bad, f)
 
 
 # -- braid action ---------------------------------------------------------------
@@ -622,6 +713,14 @@ def test_kclass_json_roundtrip():
         assert back == g and g == back
         assert back != line(n, 0) and line(n, 0) != back
         assert back.to_json() == g.to_json()
+
+
+def test_to_z_rejects_negative_powers_below_e_n():
+    n = 3
+    assert to_z(LaurentPoly.monomial(evars(n), (0, 0, -2)), n) == LaurentPoly.monomial(zvars(n), (-2,) * n)
+    for exps in ((-1, 0, 0), (2, -1, 1)):
+        with pytest.raises(ValueError, match=r"not in R\(GL_3\)"):
+            to_z(LaurentPoly.monomial(evars(n), exps), n)
 
 
 def test_basis_constructor_verifies():

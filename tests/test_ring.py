@@ -408,9 +408,9 @@ def _ref_dual(a, vs):
 
 
 @st.composite
-def _term_dicts(draw):
-    """A context of 1..9 variables, (LAM, E1..E8) or (E1..E8), and two terms
-    maps on it with up to 50 terms, negative and far exponents included."""
+def _term_dicts(draw, maps=2):
+    """A context of 1..9 variables, (LAM, E1..E8) or (E1..E8), and `maps`
+    terms maps on it with up to 50 terms, negative and far exponents included."""
     k = draw(st.integers(1, 9))
     vs = (("LAM",) + evars(8))[:k] if draw(st.booleans()) else evars(min(k, 8))
     exps = st.one_of(st.integers(-6, 6), st.integers(-(2**20), 2**20))
@@ -419,7 +419,7 @@ def _term_dicts(draw):
         st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
     )
     terms = st.dictionaries(st.tuples(*[exps] * len(vs)), coeffs, max_size=50)
-    return vs, draw(terms), draw(terms)
+    return (vs, *(draw(terms) for _ in range(maps)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,6 +446,41 @@ def test_packed_arithmetic_matches_tuple_reference(case):
     assert a.with_vars(wide).with_vars(wide) == a.with_vars(wide)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_term_dicts(maps=6))
+def test_sum_of_products_matches_products_and_sums(case):
+    vs, *maps = case
+    polys = [LaurentPoly(vs, t) for t in maps]
+    pairs = list(zip(polys[::2], polys[1::2]))
+    got = LaurentPoly.sum_of_products(vs, pairs)
+    assert got == sum((a * b for a, b in pairs), LaurentPoly.zero(vs))
+    # one dict for the whole sum: the order of the flat tuple reference
+    flat = [
+        (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+        for ta, tb in zip(maps[::2], maps[1::2])
+        for e1, c1 in ta.items()
+        for e2, c2 in tb.items()
+    ]
+    assert list(got.terms.items()) == list(_ref_collect(flat).items())
+    a, b = pairs[0]
+    assert LaurentPoly.sum_of_products(vs, [(a, b), (-a, b)]).is_zero()
+    assert LaurentPoly.sum_of_products(vs, [(a, b), (b, a * -1)]).is_zero()
+    assert LaurentPoly.sum_of_products(vs, []) == LaurentPoly.zero(vs)
+    assert LaurentPoly.sum_of_products(vs, iter(pairs[1:2])) == pairs[1][0] * pairs[1][1]
+
+
+def test_sum_of_products_fractions_and_contexts():
+    half, third = LaurentPoly.constant(V2, Fraction(1, 2)), LaurentPoly.constant(V2, Fraction(1, 3))
+    z1 = LaurentPoly.variable(V2, "Z1")
+    got = LaurentPoly.sum_of_products(V2, [(half, z1), (third, z1), (z1, Fraction(1, 6) * z1)])
+    assert got == z1 * Fraction(5, 6) + z1 * z1 * Fraction(1, 6)
+    assert LaurentPoly.sum_of_products(V2, [(half * 2, z1), (-z1, LaurentPoly.one(V2))]).is_zero()
+    with pytest.raises(ValueError):
+        LaurentPoly.sum_of_products(V2, [(z1, LaurentPoly.one(V3))])
+    with pytest.raises(ValueError):
+        LaurentPoly.sum_of_products(V3, [(z1, z1)])
+
+
 def test_terms_is_a_read_only_view():
     p = LaurentPoly(V2, {(1, -2): 3, (0, 0): 1})
     with pytest.raises(TypeError):
@@ -463,13 +498,15 @@ def test_exponents_past_the_slot_limit_raise():
     assert top.terms == {(SLOT_LIMIT, 0, -SLOT_LIMIT, 0): 1}
     half = LaurentPoly.monomial(vs, (0, 2**30, 0, 0)) + 1
     # 2^30 + (2^30 - 1) fits in a slot; 2^30 + 2^30 would carry into the next
-    assert (half * LaurentPoly.monomial(vs, (0, 2**30 - 1, 0, 0))).terms == {
-        (0, 2**31 - 1, 0, 0): 1,
-        (0, 2**30 - 1, 0, 0): 1,
-    }
+    below = LaurentPoly.monomial(vs, (0, 2**30 - 1, 0, 0))
+    for p in (half * below, LaurentPoly.sum_of_products(vs, [(half, below), (below, below - below)])):
+        assert p.terms == {(0, 2**31 - 1, 0, 0): 1, (0, 2**30 - 1, 0, 0): 1}
+    # a pair with a zero factor adds nothing to the sum's bound
+    assert LaurentPoly.sum_of_products(vs, [(top - top, top), (half, half - half)]).is_zero()
     for thunk in (
         lambda: half * half,
         lambda: half**2,
+        lambda: LaurentPoly.sum_of_products(vs, [(below, below), (half, half)]),
         lambda: top * LaurentPoly.variable(vs, "E2", -1),
         lambda: LaurentPoly.monomial(vs, (0, 0, 0, 2**31)),
         lambda: LaurentPoly.monomial(vs, (0, 2**16, 0, 0)) ** -(2**15),
