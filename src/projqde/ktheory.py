@@ -5,8 +5,9 @@ class of the tautological line bundle O(-1).  A class is stored by its
 coordinates in the line-bundle basis O(0)..O(n-1), where the Euler pairing is
 chi(f, g) = (f^*H) g with H the fixed Beilinson Gram matrix, H_ab =
 chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  A caller that
-pairs f with several classes computes the columns f^*H once, from f's own
-coordinates, and keeps them no longer than its own call.
+pairs f with several classes computes the columns f^*H once and keeps them no
+longer than its own call; `braid_act` carries them through its moves (f - c e
+has the columns f^*H - c^* e^*H) and checks chi(e, e) = 1 once per pivot.
 
 The coordinates lie in one of two coefficient rings, chosen by the input:
 
@@ -447,17 +448,45 @@ def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
     return LaurentMatrix([[_pair(cols, ej) for ej in els] for cols in map(_columns, els)])
 
 
+def _mutation(side: str, e: KClass, ecols, f: KClass, fcols):
+    """f - c e, c = chi(e,f) (left) or chi(f,e)^* (right), with its columns f^*H - c^* e^*H
+    from those of the pivot e and of f; None columns for fcols None (allowed on the left)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    c = _pair(ecols, f) if side == "left" else _pair(fcols, e).dual()
+    one = LaurentPoly.one(c.vars)
+
+    def minus(xs, ys, s):  # x - y s for each pair (x, y), summed into one dict each
+        return tuple(LaurentPoly.sum_of_products(c.vars, ((x, one), (y, -s))) for x, y in zip(xs, ys))
+
+    return KClass._of(minus(f.ocoords, e.ocoords, c)), fcols and minus(fcols, ecols, c.dual())
+
+
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
     """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e."""
     e, f = e._common(f)
-    cols = _columns(e)
-    if _pair(cols, e) != 1:
-        raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
-    if side == "left":
-        return f - e.scale(_pair(cols, f))
-    if side == "right":
-        return f - e.scale(_chi(f, e).dual())
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return _mutation(side, e, _Slot(e, "").pivot(), f, _columns(f) if side == "right" else None)[0]
+
+
+class _Slot:
+    """A class with its label, its columns f^*H (None until first needed) and
+    whether it passed its pivot check; `braid_act` moves slots, for one call."""
+
+    __slots__ = ("el", "label", "cols", "checked")
+
+    def __init__(self, el: KClass, label: str, cols=None):
+        self.el, self.label, self.cols, self.checked = el, label, cols, False
+
+    def columns(self) -> tuple[LaurentPoly, ...]:
+        self.cols = self.cols or _columns(self.el)
+        return self.cols
+
+    def pivot(self) -> tuple[LaurentPoly, ...]:
+        """The columns, after the check chi(e,e) = 1 on first use as a pivot."""
+        if not self.checked and _pair(self.columns(), self.el) != 1:
+            raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
+        self.checked = True
+        return self.cols
 
 
 # -- braid words and the braid action -----------------------------------------------
@@ -493,38 +522,33 @@ class BraidWord:
         return "".join(f"t{t}" if t > 0 else f"t{-t}'" for t in self.letters)
 
 
-def _move_right(basis: ExceptionalBasis, i: int) -> ExceptionalBasis:
+def _move_right(slots: list[_Slot], i: int) -> None:
     """Collection move at slot i (1-based): (.., e_i, e_{i+1}, ..) ->
     (.., e_{i+1}, R_{e_{i+1}} e_i, ..)."""
-    els = list(basis.elements)
-    labs = list(basis.labels)
-    e, f = els[i - 1], els[i]
-    els[i - 1], els[i] = f, mutate("right", f, e)
-    labs[i - 1], labs[i] = labs[i], f"R({labs[i - 1]}|{labs[i]})"
-    return ExceptionalBasis(els, labs, verify=False)
+    e, f = slots[i - 1], slots[i]
+    new, cols = _mutation("right", f.el, f.pivot(), e.el, e.columns())
+    slots[i - 1], slots[i] = f, _Slot(new, f"R({e.label}|{f.label})", cols)
 
 
-def _move_left(basis: ExceptionalBasis, i: int) -> ExceptionalBasis:
+def _move_left(slots: list[_Slot], i: int) -> None:
     """Inverse collection move: (.., e_i, e_{i+1}, ..) -> (.., L_{e_i} e_{i+1}, e_i, ..)."""
-    els = list(basis.elements)
-    labs = list(basis.labels)
-    e, f = els[i - 1], els[i]
-    els[i - 1], els[i] = mutate("left", e, f), e
-    labs[i - 1], labs[i] = f"L({labs[i]}|{labs[i - 1]})", labs[i - 1]
-    return ExceptionalBasis(els, labs, verify=False)
+    e, f = slots[i - 1], slots[i]
+    new, cols = _mutation("left", e.el, e.pivot(), f.el, f.cols)
+    slots[i - 1], slots[i] = _Slot(new, f"L({f.label}|{e.label})", cols), e
 
 
 def braid_act(word: BraidWord, basis: ExceptionalBasis, verify: bool = True) -> ExceptionalBasis:
     """Left action of a braid word: generator tau_i acts as the slot move at
-    n - i, inverse letters as the inverse move.  Letters apply right to left."""
+    n - i, inverse letters as the inverse move.  Letters apply right to left.
+    The final check pairs the returned classes afresh, not the moved columns."""
     n = basis.n
-    out = basis
+    slots = [_Slot(e, label) for e, label in zip(_one_ring(basis.elements), basis.labels)]
     for t in reversed(word.letters):
         i = n - abs(t)
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {abs(t)} out of range for rank {n}")
-        out = _move_right(out, i) if t > 0 else _move_left(out, i)
-    out = ExceptionalBasis(out.elements, out.labels, verify=False)
+        (_move_right if t > 0 else _move_left)(slots, i)
+    out = ExceptionalBasis([s.el for s in slots], [s.label for s in slots], verify=False)
     if verify and not out.is_exceptional():
         raise ArithmeticError("braid action produced a non-exceptional basis")
     return out

@@ -25,11 +25,13 @@ from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 
+@lru_cache(maxsize=None)
 def zvars(n: int, prefix: str = "Z") -> tuple[str, ...]:
     """Variable context Z1..Zn (or another prefix)."""
     return tuple(f"{prefix}{i}" for i in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
 def evars(n: int) -> tuple[str, ...]:
     """Variables E1..En of the representation ring R(GL_n), Ek = e_k(Z)."""
     return zvars(n, "E")
@@ -350,11 +352,15 @@ class LaurentPoly:
         monomial to a monomial, and v -> v^{-1} on any other variables."""
         vs = self.vars
         if vs and vs[0] == "E1" and vs == evars(len(vs)):
-            tm, b = {}, self._b
-            for e, c in self._decoded():
-                last = -e[-1] - sum(e[:-1])
-                b = max(b, abs(last))
-                tm[_pack(e[-2::-1] + (last,))] = c
+            tm, b, slots, top = {}, self._b, range(len(vs) - 1), _W * (len(vs) - 1)
+            for k, c in self._t.items():
+                rev = total = 0  # slots 1..n-1 in reverse order, and the sum of all n
+                for _ in slots:
+                    x = ((k + _HALF) & _MASK) - _HALF
+                    k, rev, total = (k - x) >> _W, (rev << _W) + x, total + x
+                total += k  # k is now the exponent of e_n; in the dual it is -total
+                b = max(b, abs(total))
+                tm[rev - (total << top)] = c
             return LaurentPoly._raw(vs, tm, b)
         return LaurentPoly._raw(vs, {-k: c for k, c in self._t.items()}, self._b)
 

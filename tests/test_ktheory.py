@@ -230,10 +230,15 @@ def test_verification_checks_the_classes(monkeypatch):
     assert orbit.is_exceptional() and not _swapped(orbit, 1, 3).is_exceptional()
     torus = _scaled(beilinson_basis(4), [(1, 0, -1, 2), (0, 2, 0, 0), (-1, -1, 0, 1), (3, 0, 0, -2)])
     assert torus.is_exceptional() and not _swapped(torus, 0, 2).is_exceptional()
-    # a wrong mutation is caught: the columns come from the classes the
-    # moves return, never from the mutation formula
-    mutate_ok = ktheory.mutate
-    monkeypatch.setattr(ktheory, "mutate", lambda side, e, f: mutate_ok(side, e, f) + e)
+    # a wrong class is caught although it arrives with the columns the
+    # mutation formula gives: the final check pairs the returned classes
+    mutation_ok = ktheory._mutation
+
+    def wrong_class(side, e, ecols, f, fcols):
+        new, cols = mutation_ok(side, e, ecols, f, fcols)
+        return new + e, cols
+
+    monkeypatch.setattr(ktheory, "_mutation", wrong_class)
     for basis in (orbit, torus):
         for letter in (2, -1):
             with pytest.raises(ArithmeticError):
@@ -410,6 +415,84 @@ def test_mutation_requires_exceptional_pivot():
 
 
 # -- braid action ---------------------------------------------------------------
+
+
+def _fold_of_mutations(word, basis):
+    """Elements and labels of the braid action as a fold of public `mutate`
+    calls, one per letter, each pairing from the classes' own coordinates."""
+    n = basis.n
+    els, labs = list(basis.elements), list(basis.labels)
+    for t in reversed(word.letters):
+        i = n - abs(t)
+        e, f = els[i - 1], els[i]
+        if t > 0:
+            els[i - 1], els[i] = f, mutate("right", f, e)
+            labs[i - 1], labs[i] = labs[i], f"R({labs[i - 1]}|{labs[i]})"
+        else:
+            els[i - 1], els[i] = mutate("left", e, f), e
+            labs[i - 1], labs[i] = f"L({labs[i]}|{labs[i - 1]})", labs[i - 1]
+    return els, labs
+
+
+def _outcome(act):
+    try:
+        return act()
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def _bases_and_words(draw):
+    """The Beilinson basis, a Qpt basis or a torus-scaled Beilinson basis at
+    n = 3..6 (torus: n = 3, 4), possibly with one element e_i replaced by
+    e_i + e_j, and a word of up to 6 letters."""
+    kind = draw(st.sampled_from(["beilinson", "Qpt", "torus"]))
+    n = draw(st.integers(3, 4 if kind == "torus" else 6))
+    if kind == "Qpt":
+        basis = structured_basis("Qpt", draw(st.integers(-2, 2)), n)
+    else:
+        basis = beilinson_basis(n)
+    if kind == "torus":
+        basis = _scaled(basis, draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        els = list(basis.elements)
+        els[i] = els[i] + els[j]
+        basis = ExceptionalBasis(els, basis.labels, verify=False)
+    letter = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return basis, BraidWord(tuple(draw(st.lists(letter, max_size=6))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_bases_and_words())
+def test_braid_act_is_the_fold_of_mutations(case):
+    basis, word = case
+    got = _outcome(lambda: braid_act(word, basis, verify=False))
+    want = _outcome(lambda: _fold_of_mutations(word, basis))
+    if want is ValueError:
+        assert got is ValueError
+    else:
+        assert got is not ValueError
+        assert list(got.elements) == want[0] and list(got.labels) == want[1]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_braid_act_checks_each_pivot(n):
+    lines = beilinson_basis(n).elements
+    for bad, other, letters in (
+        (0, 1, (-(n - 1),)),  # e_1 pivots a left move
+        (1, 0, (n - 1,)),  # e_2 pivots a right move
+        # R_{e_2} e_1, made by a right move with the columns it carries,
+        # pivots the next, left move
+        (0, n - 1, (-(n - 2), n - 1)),
+    ):
+        els = list(lines)
+        els[bad] = lines[bad] + lines[other]  # chi(e, e) != 1
+        basis, word = ExceptionalBasis(els, verify=False), BraidWord(letters)
+        with pytest.raises(ValueError):
+            braid_act(word, basis, verify=False)
+        with pytest.raises(ValueError):
+            _fold_of_mutations(word, basis)
 
 
 def test_braid_act_empty_and_inverse():
