@@ -66,8 +66,10 @@ def _en_power(n: int, a: int, c=1) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _e_monomial_in_z(n: int, exps: tuple[int, ...]) -> LaurentPoly:
-    """prod_k e_k(Z)^{exps_k} expanded in Z1..Zn."""
+def _e_monomial_in_z(n: int, exps: tuple[int, ...], head: tuple[str, ...] = ()) -> LaurentPoly:
+    """prod_k e_k(Z)^{exps_k} expanded in head + (Z1..Zn)."""
+    if head:
+        return _e_monomial_in_z(n, exps).with_vars(head + zvars(n))
     for k in range(n - 1):
         if exps[k] < 0:
             raise ValueError(f"not in R(GL_{n}): E{k + 1} has the negative power {exps[k]}")
@@ -86,12 +88,11 @@ def to_z(p: LaurentPoly, n: int) -> LaurentPoly:
         return p
     if ring != evars(n):
         raise ValueError(f"expected a polynomial over E1..En or Z1..Zn, got {p.vars}")
-    tm: dict = {}
-    for e, c in p.terms.items():
-        for ze, zc in _e_monomial_in_z(n, e[k:]).terms.items():
-            key = e[:k] + ze
-            tm[key] = tm.get(key, 0) + c * zc
-    return LaurentPoly(head + zvars(n), tm)
+    vs, zero = head + zvars(n), (0,) * n
+    pairs = (
+        (LaurentPoly.monomial(vs, e[:k] + zero, c), _e_monomial_in_z(n, e[k:], head)) for e, c in p.terms.items()
+    )
+    return LaurentPoly.sum_of_products(vs, pairs)
 
 
 @lru_cache(maxsize=None)

@@ -101,9 +101,10 @@ class LeveltSolution:
         self.z = tuple(z)
         self.order = order
         self.coeffs = [np.asarray(g, dtype=complex) for g in levelt_coefficients(n, z, order)]
-        zc = [complex(w) for w in z]
-        self.d, self.dinv = vandermonde(n, zc)
-        self.zc = np.array(zc)
+        # D and D^{-1} over the field of z, then rounded: over complex z an
+        # ill-conditioned D (n >= 10) fails the absolute self-check of `vandermonde`
+        self.d, self.dinv = (np.asarray(m, dtype=complex) for m in vandermonde(n, z))
+        self.zc = np.array([complex(w) for w in z])
 
     def gauge(self, q: complex) -> np.ndarray:
         """1 + sum_k G_k q^k, by Horner's rule."""

@@ -40,13 +40,11 @@ def _variables(n: int) -> list[LaurentPoly]:
 
 def shift_poly(p: LaurentPoly, name: str, delta: int) -> LaurentPoly:
     """Substitute name -> name + delta (nonnegative exponents only)."""
-    out = LaurentPoly.zero(p.vars)
     base = LaurentPoly.variable(p.vars, name) + LaurentPoly.constant(p.vars, delta)
-    for k, coeff in p.as_series(name).items():
-        if k < 0:
-            raise ValueError(f"cannot shift negative power of {name}")
-        out = out + coeff.with_vars(p.vars) * base**k
-    return out
+    series = p.as_series(name)
+    if any(k < 0 for k in series):
+        raise ValueError(f"cannot shift negative power of {name}")
+    return LaurentPoly.sum_of_products(p.vars, ((c.with_vars(p.vars), base**k) for k, c in series.items()))
 
 
 def shift_matrix(m: LaurentMatrix, name: str, delta: int) -> LaurentMatrix:

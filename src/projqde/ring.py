@@ -13,6 +13,10 @@ keys, the duality Z_j -> Z_j^{-1} negates one.  Each polynomial bounds its
 one); past the slot limit 2^31 - 1 an operation raises OverflowError rather
 than let two monomials share a key.
 
+Matrix products and the Laplace expansions behind det, inverse and char_poly
+sum their products through `LaurentPoly.sum_of_products`, into one dict per
+entry or minor.
+
 Values are immutable after construction and every operation is pure.
 """
 
@@ -369,6 +373,9 @@ class LaurentPoly:
         vs = tuple(vars)
         if len(set(vs)) != len(vs) or not set(self.vars) <= set(vs):
             raise ValueError(f"target context {vs} must hold {self.vars}, each name once")
+        o = vs.index(self.vars[0]) if self.vars else 0
+        if vs[o : o + len(self.vars)] == self.vars:  # one run of slots: shift the keys
+            return LaurentPoly._raw(vs, {k << (_W * o): c for k, c in self._t.items()}, self._b)
         shifts = [_W * vs.index(v) for v in self.vars]
         tm = {sum(x << s for s, x in zip(shifts, e)): c for e, c in self._decoded()}
         return LaurentPoly._raw(vs, tm, self._b)
@@ -625,7 +632,8 @@ class RationalFn:
 
     def __add__(self, other) -> "RationalFn":
         o = self._pair(other)
-        return RationalFn(self.num * o.den + o.num * self.den, self.den * o.den)
+        num = LaurentPoly.sum_of_products(self.num.vars, ((self.num, o.den), (o.num, self.den)))
+        return RationalFn(num, self.den * o.den)
 
     __radd__ = __add__
 
@@ -745,21 +753,9 @@ class LaurentMatrix:
         if isinstance(other, LaurentMatrix):
             if self.cols != other.rows:
                 raise ValueError("matrix shape mismatch in product")
-            z = LaurentPoly.zero(self.vars)
-            out = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = z
-                    for k in range(self.cols):
-                        a = self.entries[i][k]
-                        b = other.entries[k][j]
-                        if a.is_zero() or b.is_zero():
-                            continue
-                        acc = acc + a * b
-                    row.append(acc)
-                out.append(row)
-            return LaurentMatrix(out)
+            cols = list(zip(*other.entries))
+            sp = LaurentPoly.sum_of_products
+            return LaurentMatrix([[sp(self.vars, zip(row, col)) for col in cols] for row in self.entries])
         return self.map(lambda p: p * other)
 
     def __rmul__(self, other):
@@ -815,25 +811,24 @@ class LaurentMatrix:
     def _minors(self, rows: Sequence[int]) -> Callable[[tuple[int, ...]], LaurentPoly]:
         """The minors on the given rows, by Laplace expansion along them in
         order: minor(cols) is the determinant of the last len(cols) of these
-        rows, restricted to the columns cols.  Column subsets are memoized,
-        so the maximal minors of one row set share one expansion."""
-        zero = LaurentPoly.zero(self.vars)
-        cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(self.vars)}
+        rows, restricted to the columns cols, summed by `sum_of_products`
+        over the pairs (+-a, sub-minor) of the nonzero entries a of the first
+        row.  Column subsets are memoized, so the maximal minors of one row
+        set share one expansion."""
+        vs = self.vars
+        cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(vs)}
 
         def minor(cols: tuple[int, ...]) -> LaurentPoly:
             if cols in cache:
                 return cache[cols]
-            row = rows[len(rows) - len(cols)]
-            acc = zero
-            for pos, c in enumerate(cols):
-                a = self.entries[row][c]
-                if a.is_zero():
-                    continue
-                sub = minor(cols[:pos] + cols[pos + 1 :])
-                term = a * sub
-                acc = acc + term if pos % 2 == 0 else acc - term
-            cache[cols] = acc
-            return acc
+            row = self.entries[rows[len(rows) - len(cols)]]
+            pairs = (
+                (-row[c] if pos % 2 else row[c], minor(cols[:pos] + cols[pos + 1 :]))
+                for pos, c in enumerate(cols)
+                if not row[c].is_zero()
+            )
+            cache[cols] = LaurentPoly.sum_of_products(vs, pairs)
+            return cache[cols]
 
         return minor
 

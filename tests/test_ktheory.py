@@ -806,6 +806,21 @@ def test_to_z_rejects_negative_powers_below_e_n():
             to_z(LaurentPoly.monomial(evars(n), exps), n)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_to_z_is_a_ring_homomorphism(data):
+    n = data.draw(st.integers(2, 4))
+    head = data.draw(st.sampled_from(((), ("LAM",))))
+    vs = head + evars(n)
+    # E1..E(n-1) with nonnegative powers: R(GL_n) inside the Laurent ring in E
+    exps = st.tuples(*[st.integers(-2, 2)] * len(head), *[st.integers(0, 2)] * (n - 1), st.integers(-2, 2))
+    coeffs = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+    p, q = (LaurentPoly(vs, data.draw(st.dictionaries(exps, coeffs, max_size=4))) for _ in range(2))
+    assert to_z(p * q, n) == to_z(p, n) * to_z(q, n)
+    assert to_z(p + q, n) == to_z(p, n) + to_z(q, n)
+    assert to_z(p, n).vars == head + zvars(n)
+
+
 def test_basis_constructor_verifies():
     n = 2
     with pytest.raises(ValueError):

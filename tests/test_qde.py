@@ -158,6 +158,15 @@ def test_a_series_first_coefficient():
         assert abs(c[1] - want) < 1e-14
 
 
+@pytest.mark.parametrize("n", [10, 11])
+def test_levelt_residual_at_high_rank(n):
+    """verify-all's z, where D^{-1} taken over complex z fails its self-check:
+    the exact D^{-1}, rounded once, keeps the residual small."""
+    z = tuple(Fraction(2 * m + (1 if m % 2 else 0), 2 * n + 1) for m in range(n))
+    sol = levelt_series(n, z, 25)
+    assert ode_residual(sol, 0.3, n, [complex(w) for w in z]) < 1e-6
+
+
 def test_corrupted_series_fails_residual():
     n, z, order = 2, Z2, 25
     sol = levelt_series(n, z, order)

@@ -196,9 +196,9 @@ def test_inverse_of_twisted_stokes_coordinates(n):
             assert inv == _cofactor_inverse(a)
 
 
-def _laurent_polys(vars, max_terms=3, span=2):
+def _laurent_polys(vars, max_terms=3, span=2, coeffs=st.integers(-4, 4)):
     exps = st.tuples(*(st.integers(-span, span) for _ in vars))
-    return st.dictionaries(exps, st.integers(-4, 4), max_size=max_terms).map(
+    return st.dictionaries(exps, coeffs, max_size=max_terms).map(
         lambda terms: LaurentPoly(vars, terms)
     )
 
@@ -259,6 +259,24 @@ def _assert_close(exact, want):
     exact, want = np.asarray(exact), np.asarray(want)
     scale = max(1.0, float(np.max(np.abs(want))))
     np.testing.assert_allclose(exact, want, rtol=1e-9, atol=1e-9 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_matrix_product_matches_numeric_oracle(data):
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    coeffs = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5))
+    entries = st.one_of(st.just(LaurentPoly.zero(V3)), _laurent_polys(V3, coeffs=coeffs))
+    a, b = (
+        LaurentMatrix([[data.draw(entries) for _ in range(c)] for _ in range(r)])
+        for r, c in ((rows, inner), (inner, cols))
+    )
+    point = _torus_point(data.draw)
+    _assert_close(_numeric(a * b, point), _numeric(a, point) @ _numeric(b, point))
+    with pytest.raises(ValueError):
+        a * LaurentMatrix.zero(inner + 1, cols, V3)
+    with pytest.raises(ValueError):
+        a * b.map(lambda p: p.with_vars((LAMBDA,) + V3))
 
 
 @settings(max_examples=40, deadline=None)
@@ -444,6 +462,8 @@ def test_packed_arithmetic_matches_tuple_reference(case):
     wide = ("Q",) + vs[::-1]
     assert a.with_vars(wide).terms == {(0,) + e[::-1]: c for e, c in ta.items()}
     assert a.with_vars(wide).with_vars(wide) == a.with_vars(wide)
+    run = ("Q",) + vs + ("R",)  # vs as one run of slots
+    assert a.with_vars(run).terms == {(0,) + e + (0,): c for e, c in ta.items()}
 
 
 @settings(max_examples=40, deadline=None)
