@@ -101,8 +101,9 @@ class LeveltSolution:
         self.z = tuple(z)
         self.order = order
         self.coeffs = [np.asarray(g, dtype=complex) for g in levelt_coefficients(n, z, order)]
-        # D and D^{-1} over the field of z, then rounded: over complex z an
-        # ill-conditioned D (n >= 10) fails the absolute self-check of `vandermonde`
+        # D and D^{-1} over the field of z, then rounded: over complex z the
+        # ill-conditioned D of verify-all's z at n >= 10 fails the absolute
+        # self-check of `vandermonde`
         self.d, self.dinv = (np.asarray(m, dtype=complex) for m in vandermonde(n, z))
         self.zc = np.array([complex(w) for w in z])
 

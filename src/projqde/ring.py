@@ -13,9 +13,8 @@ keys, the duality Z_j -> Z_j^{-1} negates one.  Each polynomial bounds its
 one); past the slot limit 2^31 - 1 an operation raises OverflowError rather
 than let two monomials share a key.
 
-Matrix products and the Laplace expansions behind det, inverse and char_poly
-sum their products through `LaurentPoly.sum_of_products`, into one dict per
-entry or minor.
+Matrix products and the Laplace minors of det, inverse and char_poly sum
+through `LaurentPoly.sum_of_products`, into one dict per entry or minor.
 
 Values are immutable after construction and every operation is pure.
 """
@@ -812,9 +811,9 @@ class LaurentMatrix:
         """The minors on the given rows, by Laplace expansion along them in
         order: minor(cols) is the determinant of the last len(cols) of these
         rows, restricted to the columns cols, summed by `sum_of_products`
-        over the pairs (+-a, sub-minor) of the nonzero entries a of the first
-        row.  Column subsets are memoized, so the maximal minors of one row
-        set share one expansion."""
+        over the pairs (+-a, sub-minor), a running over the nonzero entries
+        of the first of those rows.  Column subsets are memoized, so the
+        maximal minors of one row set share one expansion."""
         vs = self.vars
         cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(vs)}
 

@@ -479,12 +479,10 @@ def gram_stokes_check(sector: SectorId, n: int) -> dict:
 
 def _formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int) -> LaurentPoly:
     """det(lambda - (-1)^{n-1} e_n(Z) (S1 S2)^{-1}) - prod_j (lambda - Z_j^n):
-    the n-th power of the regular-point monodromy seen at infinity.
-
-    It is taken on the pencil lambda S1 - c S2^{-1}, c = (-1)^{n-1} e_n(Z):
-    as det S2 = 1 (`stokes_matrices` asserts S2 lower unitriangular), this
-    is det(lambda S1 S2 - c) / det S2 = det(lambda S1 S2 - c), and its entries
-    stay as sparse as those of S1 and S2^{-1}."""
+    the n-th power of the regular-point monodromy seen at infinity.  It is
+    taken on the sparser pencil lambda S1 - c S2^{-1}, c = (-1)^{n-1} e_n(Z),
+    whose determinant is det(lambda S1 S2 - c) / det S2 = det(lambda S1 S2 - c),
+    as `stokes_matrices` asserts S2 lower unitriangular."""
     vs = evars(n)
     sn = LaurentPoly.variable(vs, f"E{n}") * (-1) ** (n - 1)
     char = char_poly(s1, s2.inverse() * sn)
