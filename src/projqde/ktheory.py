@@ -9,22 +9,25 @@ pairs f with several classes computes the columns f^*H once and keeps them no
 longer than its own call; `braid_act` carries them through its moves (f - c e
 has the columns f^*H - c^* e^*H) and checks chi(e, e) = 1 once per pivot.
 
-The coordinates lie in one of two coefficient rings, chosen by the input:
+A class takes one of three storage forms, chosen by the input:
 
-- the representation ring R(GL_n) = Z[e_1..e_{n-1}, e_n^{±1}], written as
-  Laurent polynomials in E1..En with Ek = e_k(Z).  Line bundles, exterior
-  powers of the tangent bundle, det twists and everything built from them by
-  mutation live here, with a handful of terms where the expansion in Z has
-  hundreds.  Duality acts on it as e_k -> e_{n-k}/e_n.
-- the Laurent ring in Z1..Zn, for torus-only input: a class given by
+- coordinates in the representation ring R(GL_n) = Z[e_1..e_{n-1}, e_n^{±1}],
+  written as Laurent polynomials in E1..En with Ek = e_k(Z).  Line bundles,
+  exterior powers of the tangent bundle, det twists and everything built from
+  them by mutation live here, with a handful of terms where the expansion in Z
+  has hundreds.  Duality acts on it as e_k -> e_{n-k}/e_n.
+- those coordinates times a torus character Z^a, for a class scaled by one
+  Z-term: chi(Z^a e, Z^b f) = Z^{b-a} chi(e, f) and L_{Z^a e}(Z^b f) = Z^b L_e f,
+  so the calculus runs without the character until a value leaves the class.
+- the Laurent ring in Z1..Zn, for other torus-only input: a class given by
   arbitrary Laurent coefficients, or a scalar that is not symmetric.
 
-Arithmetic that mixes the two expands E in Z.  The defining relation
-prod_j (X - Z_j) = sum_k (-1)^k e_k X^{n-k} has its coefficients in R(GL_n),
-so every O(i) has coordinates there.  Gram matrices and the Diophantine
-checks stay in the ring of the basis; coordinates in the monomial basis
-X^0..X^{n-1} (JSON, cohomology) and the values of `chi_pair` are expanded in
-Z, and so is what the CLI prints.
+Arithmetic that mixes E and Z, or two characters, expands E in Z.  The
+defining relation prod_j (X - Z_j) = sum_k (-1)^k e_k X^{n-k} has its
+coefficients in R(GL_n), so every O(i) has coordinates there.  Gram matrices
+and the Diophantine checks stay in the ring of the basis; coordinates in the
+monomial basis X^0..X^{n-1} (JSON, cohomology) and the values of `chi_pair`
+are expanded in Z, and so is what the CLI prints.
 
 On top of the algebra: the sesquilinear Euler pairing chi, Gram matrices,
 left/right mutations, the braid-group action on exceptional bases, dual bases,
@@ -37,12 +40,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .ring import (
     LAMBDA,
     LaurentMatrix,
     LaurentPoly,
-    RationalFn,
     char_poly,
     evars,
     sym_poly,
@@ -95,6 +98,12 @@ def to_z(p: LaurentPoly, n: int) -> LaurentPoly:
     return LaurentPoly.sum_of_products(vs, pairs)
 
 
+def _z_times(p: LaurentPoly, a: tuple[int, ...], b: tuple[int, ...]) -> LaurentPoly:
+    """Z^{b-a} p over Z1..Zn, for p over E1..En or Z1..Zn."""
+    d, n = tuple(map(sub, b, a)), len(a)
+    return to_z(p, n) * LaurentPoly.monomial(zvars(n), d) if any(d) else to_z(p, n)
+
+
 @lru_cache(maxsize=None)
 def _o_power_coords(vs: tuple[str, ...], i: int) -> tuple[LaurentPoly, ...]:
     """Coordinates of the class of O(i) in the basis O(0)..O(n-1), with
@@ -143,14 +152,15 @@ def _h_dual(vs: tuple[str, ...], k: int) -> LaurentPoly:
 class KClass:
     """Element of the equivariant K-theory algebra.
 
-    The class is stored as its coordinates `ocoords` in the line-bundle basis
-    O(0)..O(n-1), all over one coefficient ring: E1..En (the representation
-    ring of GL_n) or Z1..Zn.  The constructor takes Laurent coordinates in Z
-    with respect to the monomial basis X^0..X^{n-1}, the form that `coeffs`,
-    `to_json` and `from_json` use.
+    Stored as Z^_char sum_a _co[a] O(a): coordinates in the basis O(0)..O(n-1)
+    over E1..En (the representation ring of GL_n) or Z1..Zn, and a character,
+    nonzero only over E1..En and on a nonzero class, with smallest exponent 0:
+    a unique normal form, as Z^d times a symmetric polynomial is symmetric only
+    for d in Z(1, .., 1).  The constructor takes Laurent coordinates in Z with
+    respect to the monomial basis X^0..X^{n-1} (`coeffs`, `to_json`, `from_json`).
     """
 
-    __slots__ = ("n", "ocoords")
+    __slots__ = ("n", "_co", "_char")
 
     def __init__(self, n: int, coeffs):
         coeffs = tuple(coeffs)
@@ -162,17 +172,23 @@ class KClass:
                 raise ValueError("KClass coordinates must live in Z1..Zn")
         # X^j is the class of O(-j)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ocoords", _expand(vs, [(c, -j) for j, c in enumerate(coeffs)]))
+        object.__setattr__(self, "_co", _expand(vs, [(c, -j) for j, c in enumerate(coeffs)]))
+        object.__setattr__(self, "_char", (0,) * n)
 
     def __setattr__(self, name, value):
         raise AttributeError("KClass is immutable")
 
     @classmethod
-    def _of(cls, ocoords) -> "KClass":
-        """The class with the given line-bundle coordinates."""
+    def _of(cls, co, char=None) -> "KClass":
+        """The class Z^char sum_a co_a O(a), in normal form."""
+        co = tuple(co)
+        char = (0,) * len(co) if char is None or any(char) and all(c.is_zero() for c in co) else char
+        if m := min(char):  # e_n^m moves into the coordinates
+            co, char = tuple(c * _en_power(len(co), m) for c in co), tuple(a - m for a in char)
         self = object.__new__(cls)
-        object.__setattr__(self, "ocoords", tuple(ocoords))
-        object.__setattr__(self, "n", len(self.ocoords))
+        object.__setattr__(self, "n", len(co))
+        object.__setattr__(self, "_co", co)
+        object.__setattr__(self, "_char", char)
         return self
 
     @classmethod
@@ -191,61 +207,68 @@ class KClass:
 
     @property
     def ring(self) -> tuple[str, ...]:
-        """Variables of the coefficient ring: E1..En or Z1..Zn."""
-        return self.ocoords[0].vars
+        """Variables of the ring of `ocoords`: E1..En or Z1..Zn."""
+        return zvars(self.n) if any(self._char) else self._co[0].vars
+
+    @property
+    def ocoords(self) -> tuple[LaurentPoly, ...]:
+        """Coordinates in the line-bundle basis O(0)..O(n-1), over `ring`."""
+        return self._in_z()._co if any(self._char) else self._co
 
     def _in_z(self) -> "KClass":
         """The same class with its coefficients expanded in Z1..Zn."""
-        if self.ring == zvars(self.n):
+        if self._co[0].vars == zvars(self.n):
             return self
-        return KClass._of(to_z(c, self.n) for c in self.ocoords)
+        return KClass._of(_z_times(c, (0,) * self.n, self._char) for c in self._co)
 
     def _common(self, other: "KClass") -> tuple["KClass", "KClass"]:
-        """Both classes over one ring; mixing E and Z expands E in Z."""
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        if self.ring == other.ring:
-            return self, other
-        return self._in_z(), other._in_z()
+        """Both classes over one ring with one character, else both in Z."""
+        f, g = _one_ring([self, other])
+        if f._char != g._char:
+            return f._in_z(), g._in_z()
+        return f, g
 
     def __add__(self, other: "KClass") -> "KClass":
         f, g = self._common(other)
-        return KClass._of(a + b for a, b in zip(f.ocoords, g.ocoords))
+        return KClass._of((a + b for a, b in zip(f._co, g._co)), f._char)
 
     def __sub__(self, other: "KClass") -> "KClass":
         f, g = self._common(other)
-        return KClass._of(a - b for a, b in zip(f.ocoords, g.ocoords))
+        return KClass._of((a - b for a, b in zip(f._co, g._co)), f._char)
 
     def __neg__(self) -> "KClass":
-        return KClass._of(-a for a in self.ocoords)
+        return KClass._of((-a for a in self._co), self._char)
 
     def scale(self, rho: LaurentPoly) -> "KClass":
-        """Multiply by a scalar: a Laurent polynomial in E1..En (the class
-        keeps its ring) or in Z1..Zn (the class is expanded in Z)."""
-        f = self
-        if rho.vars != f.ring:
-            f, rho = f._in_z(), to_z(rho, f.n)
-        return KClass._of(c * rho for c in f.ocoords)
+        """Multiply by a scalar over the coordinates' ring, by one Z-term c Z^a (added to the
+        character of coordinates over E1..En) or by another polynomial in Z1..Zn (expands in Z)."""
+        vs = self._co[0].vars
+        if rho.vars == vs:
+            return KClass._of((c * rho for c in self._co), self._char)
+        if rho.vars == zvars(self.n) != vs and rho.is_unit_monomial():
+            ((a, c),) = rho.terms.items()
+            return KClass._of((x * c for x in self._co), tuple(map(add, self._char, a)))
+        f, rho = self._in_z(), to_z(rho, self.n)
+        return KClass._of(c * rho for c in f._co)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KClass):
             return NotImplemented
         if self.n != other.n:
             return False
-        f, g = self._common(other)
-        return f.ocoords == g.ocoords
+        f, g = _one_ring([self, other])
+        return f._char == g._char and f._co == g._co
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.ocoords)
+        return all(c.is_zero() for c in self._co)
 
     @property
     def coeffs(self) -> tuple[LaurentPoly, ...]:
         """Coordinates in the monomial basis X^0..X^{n-1}, expanded in Z1..Zn."""
         # X^j = O(-j) is O(n-1-j) twisted by O(1-n)
-        shifted = self.twist(1 - self.n).ocoords
-        return tuple(to_z(c, self.n) for c in reversed(shifted))
+        return tuple(reversed(self.twist(1 - self.n)._in_z()._co))
 
     def to_laurent(self) -> LaurentPoly:
         vs = xz_vars(self.n)
@@ -256,21 +279,21 @@ class KClass:
         """Restrictions to the n torus-fixed points, over Z1..Zn: O(j)
         restricts to Z_a^{-j} at the point a."""
         vs = zvars(self.n)
-        cs = [to_z(c, self.n) for c in self.ocoords]
+        cs = self._in_z()._co
         return tuple(
             LaurentPoly.sum_of_products(vs, [(c, LaurentPoly.variable(vs, z, -j)) for j, c in enumerate(cs)])
             for z in vs
         )
 
     def mul_class(self, other: "KClass") -> "KClass":
-        """Product in the algebra: O(a) O(b) = O(a+b)."""
-        f, g = self._common(other)
-        terms = [(a * b, i + j) for i, a in enumerate(f.ocoords) for j, b in enumerate(g.ocoords)]
-        return KClass._of(_expand(f.ring, terms))
+        """Product in the algebra: O(a) O(b) = O(a+b), characters multiplied."""
+        f, g = _one_ring([self, other])
+        terms = [(a * b, i + j) for i, a in enumerate(f._co) for j, b in enumerate(g._co)]
+        return KClass._of(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
 
     def twist(self, m: int) -> "KClass":
         """Multiply by X^m (tensor with O(-m)): O(a) -> O(a-m)."""
-        return KClass._of(_expand(self.ring, [(c, a - m) for a, c in enumerate(self.ocoords)]))
+        return KClass._of(_expand(self._co[0].vars, [(c, a - m) for a, c in enumerate(self._co)]), self._char)
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -303,31 +326,33 @@ def serre_twist(e: KClass) -> KClass:
 
 
 def _columns(f: KClass) -> tuple[LaurentPoly, ...]:
-    """The row vector f^*H over the ring of f, H the Beilinson Gram matrix:
-    column b is sum_{a<=b} f_a^* h_{b-a}(Z^{-1}).  It depends on f's own
-    coordinates only; callers keep it for the length of one call."""
-    vs = f.ring
-    fd = [c.dual() for c in f.ocoords]
+    """The row vector f^*H over the ring of f, without its character, H the
+    Beilinson Gram matrix: column b sums f_a^* h_{b-a}(Z^{-1}) over the nonzero
+    f_a, a <= b.  It depends on f's own coordinates; callers keep it for one call."""
+    vs = f._co[0].vars
+    fd = [(a, c.dual()) for a, c in enumerate(f._co) if not c.is_zero()]
     return tuple(
-        LaurentPoly.sum_of_products(vs, ((fd[a], _h_dual(vs, b - a)) for a in range(b + 1)))
-        for b in range(f.n)
+        LaurentPoly.sum_of_products(vs, ((d, _h_dual(vs, b - a)) for a, d in fd if a <= b)) for b in range(f.n)
     )
 
 
 def _pair(cols: tuple[LaurentPoly, ...], g: KClass) -> LaurentPoly:
-    """chi(f, g) = (f^*H) g from the columns f^*H of f, for g over their ring."""
-    return LaurentPoly.sum_of_products(g.ring, zip(cols, g.ocoords))
+    """chi(f, g) without characters: (f^*H) g from the columns f^*H of f, g over their ring."""
+    return LaurentPoly.sum_of_products(g._co[0].vars, zip(cols, g._co))
 
 
 def _chi(f: KClass, g: KClass) -> LaurentPoly:
-    """chi(f, g) = (f^*H) g over the common coefficient ring of f and g."""
-    f, g = f._common(g)
-    return _pair(_columns(f), g)
+    """chi(f, g) = (f^*H) g over the common ring of f and g; over Z1..Zn if either has a character."""
+    f, g = _one_ring([f, g])
+    p = _pair(_columns(f), g)
+    return _z_times(p, f._char, g._char) if any(f._char + g._char) else p
 
 
 def _one_ring(els) -> list[KClass]:
-    """The classes over one ring: E1..En when all of them are, else Z1..Zn."""
-    if any(e.ring != els[0].ring for e in els):
+    """The classes over one ring, each with its character: E1..En when all of them are, else Z1..Zn."""
+    if any(e.n != els[0].n for e in els):
+        raise ValueError("rank mismatch")
+    if any(e._co[0].vars != els[0]._co[0].vars for e in els):
         return [e._in_z() for e in els]
     return list(els)
 
@@ -338,25 +363,6 @@ def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
     and zero otherwise."""
     return to_z(_chi(f, g), f.n)
-
-
-def chi_via_localization(f: KClass, g: KClass) -> RationalFn:
-    """Fixed-point localization formula for the pairing:
-    sum_a f(Z_a^{-1}, Z^{-1}) g(Z_a, Z) / prod_{j != a} (1 - Z_a/Z_j)."""
-    if f.n != g.n:
-        raise ValueError("rank mismatch")
-    n = f.n
-    zv = zvars(n)
-    one = LaurentPoly.one(zv)
-    total = RationalFn(LaurentPoly.zero(zv))
-    for a, (fa, ga) in enumerate(zip(f.restrictions(), g.restrictions()), start=1):
-        za = LaurentPoly.variable(zv, f"Z{a}")
-        den = one
-        for j in range(1, n + 1):
-            if j != a:
-                den = den * (one - za * LaurentPoly.variable(zv, f"Z{j}", -1))
-        total = total + RationalFn(fa.dual() * ga, den)
-    return total
 
 
 def a_pair(f: KClass, g: KClass) -> LaurentPoly:
@@ -402,8 +408,8 @@ class ExceptionalBasis:
         return self.elements[0].n
 
     def is_exceptional(self) -> bool:
-        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j, with the
-        columns of each e_j taken from its own coordinates."""
+        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j, with the columns
+        of each e_j taken from its own coordinates; characters are units."""
         els = _one_ring(self.elements)
         for j, ej in enumerate(els):
             cols = _columns(ej)
@@ -446,12 +452,16 @@ def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
     """G_ij = chi(e_i, e_j) over the coefficient ring of the basis: E1..En
     when every element is equivariant, Z1..Zn otherwise."""
     els = _one_ring(basis.elements)
-    return LaurentMatrix([[_pair(cols, ej) for ej in els] for cols in map(_columns, els)])
+    rows = [[_pair(cols, ej) for ej in els] for cols in map(_columns, els)]
+    if any(any(e._char) for e in els):  # Z^{c_j - c_i} times the entries without characters
+        rows = [[_z_times(p, e._char, f._char) for p, f in zip(r, els)] for r, e in zip(rows, els)]
+    return LaurentMatrix(rows)
 
 
 def _mutation(side: str, e: KClass, ecols, f: KClass, fcols):
     """f - c e, c = chi(e,f) (left) or chi(f,e)^* (right), with its columns f^*H - c^* e^*H
-    from those of the pivot e and of f; None columns for fcols None (allowed on the left)."""
+    from those of the pivot e and of f; None columns for fcols None (allowed on the left).
+    Characters stay out, L_{Z^a e}(Z^b f) = Z^b L_e f and so for R: the result takes f's."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     c = _pair(ecols, f) if side == "left" else _pair(fcols, e).dual()
@@ -460,12 +470,12 @@ def _mutation(side: str, e: KClass, ecols, f: KClass, fcols):
     def minus(xs, ys, s):  # x - y s for each pair (x, y), summed into one dict each
         return tuple(LaurentPoly.sum_of_products(c.vars, ((x, one), (y, -s))) for x, y in zip(xs, ys))
 
-    return KClass._of(minus(f.ocoords, e.ocoords, c)), fcols and minus(fcols, ecols, c.dual())
+    return KClass._of(minus(f._co, e._co, c), f._char), fcols and minus(fcols, ecols, c.dual())
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
     """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e."""
-    e, f = e._common(f)
+    e, f = _one_ring([e, f])
     return _mutation(side, e, _Slot(e, "").pivot(), f, _columns(f) if side == "right" else None)[0]
 
 

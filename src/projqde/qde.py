@@ -84,8 +84,8 @@ def levelt_coefficients(n: int, z: Sequence | None, order: int) -> list:
     r G_k = (c_j / prod_m (z_j - z_m + k))_j: products, where the sum over i
     cancels when the z_i are close and r is large."""
     z = parameters(n, z)
-    _, dinv = vandermonde(n, z)
-    c = [dinv[n - 1, j] for j in range(n)]  # r G_0
+    # r G_0 = r, the last row of D^{-1} as `vandermonde` computes it
+    c = [1 / math.prod((z[j] - w for m, w in enumerate(z) if m != j), start=z[j] ** 0) for j in range(n)]
     coeffs = [as_matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)], z[0])]
     for k in range(1, order + 1):
         coeffs.append(as_matrix([[-c[j] / (z[i] - z[j] - k) for j in range(n)] for i in range(n)], z[0]))
@@ -100,11 +100,11 @@ class LeveltSolution:
         self.n = n
         self.z = tuple(z)
         self.order = order
-        self.coeffs = [np.asarray(g, dtype=complex) for g in levelt_coefficients(n, z, order)]
         # D and D^{-1} over the field of z, then rounded: over complex z the
         # ill-conditioned D of verify-all's z at n >= 10 fails the absolute
         # self-check of `vandermonde`
         self.d, self.dinv = (np.asarray(m, dtype=complex) for m in vandermonde(n, z))
+        self.coeffs = [np.asarray(g, dtype=complex) for g in levelt_coefficients(n, z, order)]
         self.zc = np.array([complex(w) for w in z])
 
     def gauge(self, q: complex) -> np.ndarray:

@@ -18,7 +18,6 @@ from projqde.ktheory import (
     canonical_char_poly,
     canonical_matrix,
     chi_pair,
-    chi_via_localization,
     dioph_residual,
     dual_basis,
     evars,
@@ -87,6 +86,23 @@ def test_defining_relation_dies():
 
 
 # -- Euler pairing -----------------------------------------------------------
+
+
+def chi_via_localization(f, g):
+    """The oracle for the pairing, by the fixed-point localization formula:
+    sum_a f(Z_a^{-1}, Z^{-1}) g(Z_a, Z) / prod_{j != a} (1 - Z_a/Z_j)."""
+    n = f.n
+    zv = zvars(n)
+    one = LaurentPoly.one(zv)
+    total = RationalFn(LaurentPoly.zero(zv))
+    for a, (fa, ga) in enumerate(zip(f.restrictions(), g.restrictions()), start=1):
+        za = LaurentPoly.variable(zv, f"Z{a}")
+        den = one
+        for j in range(1, n + 1):
+            if j != a:
+                den = den * (one - za * LaurentPoly.variable(zv, f"Z{j}", -1))
+        total = total + RationalFn(fa.dual() * ga, den)
+    return total
 
 
 def test_chi_line_bundle_values():
@@ -232,17 +248,96 @@ def test_verification_checks_the_classes(monkeypatch):
     assert torus.is_exceptional() and not _swapped(torus, 0, 2).is_exceptional()
     # a wrong class is caught although it arrives with the columns the
     # mutation formula gives: the final check pairs the returned classes
+    # the wrong class adds the pivot e itself (over Z1..Zn when the
+    # characters differ), or e moved to the character of the new class, so
+    # that the sum keeps R(GL_n) coordinates times one character
     mutation_ok = ktheory._mutation
+    moves = [lambda e, new: e, lambda e, new: e.scale(_character(new, e))]
 
     def wrong_class(side, e, ecols, f, fcols):
         new, cols = mutation_ok(side, e, ecols, f, fcols)
-        return new + e, cols
+        return new + moves[0](e, new), cols
 
     monkeypatch.setattr(ktheory, "_mutation", wrong_class)
-    for basis in (orbit, torus):
-        for letter in (2, -1):
-            with pytest.raises(ArithmeticError):
-                braid_act(BraidWord((letter,)), basis)
+    for _ in range(2):
+        for basis in (orbit, torus):
+            for letter in (2, -1):
+                with pytest.raises(ArithmeticError):
+                    braid_act(BraidWord((letter,)), basis)
+        moves.pop(0)
+
+
+def _character(f, g):
+    """Z^{b-a} over Z1..Zn, for classes f, g stored with characters Z^b, Z^a."""
+    return LaurentPoly.monomial(zvars(f.n), [b - a for a, b in zip(g._char, f._char)])
+
+
+@st.composite
+def _torus_scaled_orbits(draw):
+    """(B, chars, w): B the Beilinson basis or Qpt twisted by |k| <= 1 at
+    n = 3, 4, a character or None (unscaled) per element, two of them
+    differing by a multiple of (1, .., 1), and a word of <= 3 letters."""
+    n = draw(st.sampled_from([3, 4]))
+    k = draw(st.sampled_from([None, -1, 0, 1]))
+    basis = beilinson_basis(n) if k is None else structured_basis("Qpt", k, n)
+    char = st.tuples(*[st.integers(-2, 2)] * n)
+    chars = draw(st.lists(st.one_of(st.none(), char), min_size=n, max_size=n))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if chars[i] is not None:
+        shift = draw(st.integers(-2, 2))
+        chars[j] = tuple(a + shift for a in chars[i])
+    letters = st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i]))
+    return basis, chars, BraidWord(tuple(draw(st.lists(letters, max_size=3))))
+
+
+def _slot_origins(word, n):
+    """Which element of the basis each slot of braid_act(word, basis) descends
+    from: the mutated class keeps the character of the class it mutates, and
+    each move swaps the characters of its two slots."""
+    perm = list(range(n))
+    for t in reversed(word.letters):
+        i = n - abs(t)
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return perm
+
+
+@settings(max_examples=30, deadline=None)
+@given(_torus_scaled_orbits())
+def test_braid_act_carries_torus_characters(case):
+    basis, chars, word = case
+    n = basis.n
+    scaled = _scaled(basis, chars)
+    got = braid_act(word, scaled).elements
+    want = _scaled(braid_act(word, basis), [chars[p] for p in _slot_origins(word, n)]).elements
+    assert [f.coeffs for f in got] == [f.coeffs for f in want]
+    # the Gram matrix equals the one of the classes first expanded in Z
+    expanded = ExceptionalBasis([f._in_z() for f in got], verify=False)
+    g = gram_matrix(ExceptionalBasis(got, verify=False))
+    assert g.vars == (zvars(n) if any(f.ring == zvars(n) for f in got) else evars(n))
+    assert g.map(lambda p: to_z(p, n)) == gram_matrix(expanded)
+    assert all(tuple(to_z(c, n) for c in f.ocoords) == f._in_z().ocoords for f in got)
+    for f, g in zip(got, got[1:] + got[:1]):
+        closed = chi_pair(f, g)
+        assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_torus_scaled_orbits(), st.tuples(*[st.integers(-2, 2)] * 4), st.integers(-2, 2))
+def test_torus_characters_are_units(case, a, m):
+    basis, chars, _ = case
+    n = basis.n
+    vs = zvars(n)
+    za, zinv = LaurentPoly.monomial(vs, a[:n]), LaurentPoly.monomial(vs, [-x for x in a[:n]])
+    en = LaurentPoly.monomial(evars(n), (0,) * (n - 1) + (m,))
+    classes = [KClass.zero(n)]
+    for f in _scaled(basis, chars).elements:
+        assert f.scale(za).scale(zinv) == f
+        assert f.scale(LaurentPoly.monomial(vs, (m,) * n)) == f.scale(en)
+        classes += [f, f.scale(za), f._in_z(), f.scale(en), KClass(n, f.coeffs), f + f.scale(za), f - f]
+    coeffs = [f.coeffs for f in classes]
+    for f, cf in zip(classes, coeffs):
+        for g, cg in zip(classes, coeffs):
+            assert (f == g) == (cf == cg)
 
 
 def _restrictions_by_substitution(f):
