@@ -154,10 +154,10 @@ class KClass:
 
     Stored as Z^_char sum_a _co[a] O(a): coordinates in the basis O(0)..O(n-1)
     over E1..En (the representation ring of GL_n) or Z1..Zn, and a character,
-    nonzero only over E1..En and on a nonzero class, with smallest exponent 0:
-    a unique normal form, as Z^d times a symmetric polynomial is symmetric only
-    for d in Z(1, .., 1).  The constructor takes Laurent coordinates in Z with
-    respect to the monomial basis X^0..X^{n-1} (`coeffs`, `to_json`, `from_json`).
+    nonzero only over E1..En and on a nonzero class, with smallest exponent 0.
+    The form is unique (Z^d s, s symmetric, is symmetric only for d in Z(1,..,1))
+    and mutation keeps it: L_{Z^a e}(Z^b f) = Z^b L_e f.  The constructor takes
+    Laurent coordinates in Z in the monomial basis X^0..X^{n-1}, as `coeffs` gives.
     """
 
     __slots__ = ("n", "_co", "_char")

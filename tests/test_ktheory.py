@@ -247,24 +247,22 @@ def test_verification_checks_the_classes(monkeypatch):
     torus = _scaled(beilinson_basis(4), [(1, 0, -1, 2), (0, 2, 0, 0), (-1, -1, 0, 1), (3, 0, 0, -2)])
     assert torus.is_exceptional() and not _swapped(torus, 0, 2).is_exceptional()
     # a wrong class is caught although it arrives with the columns the
-    # mutation formula gives: the final check pairs the returned classes
-    # the wrong class adds the pivot e itself (over Z1..Zn when the
-    # characters differ), or e moved to the character of the new class, so
-    # that the sum keeps R(GL_n) coordinates times one character
+    # mutation formula gives: the final check pairs the returned classes.
+    # It adds the pivot e itself (over Z1..Zn when the characters differ), or
+    # e moved to the character of the new class, so that the sum keeps
+    # R(GL_n) coordinates times one character
     mutation_ok = ktheory._mutation
-    moves = [lambda e, new: e, lambda e, new: e.scale(_character(new, e))]
+    for moved in (lambda e, new: e, lambda e, new: e.scale(_character(new, e))):
 
-    def wrong_class(side, e, ecols, f, fcols):
-        new, cols = mutation_ok(side, e, ecols, f, fcols)
-        return new + moves[0](e, new), cols
+        def wrong_class(side, e, ecols, f, fcols, moved=moved):
+            new, cols = mutation_ok(side, e, ecols, f, fcols)
+            return new + moved(e, new), cols
 
-    monkeypatch.setattr(ktheory, "_mutation", wrong_class)
-    for _ in range(2):
+        monkeypatch.setattr(ktheory, "_mutation", wrong_class)
         for basis in (orbit, torus):
             for letter in (2, -1):
                 with pytest.raises(ArithmeticError):
                     braid_act(BraidWord((letter,)), basis)
-        moves.pop(0)
 
 
 def _character(f, g):
@@ -312,9 +310,9 @@ def test_braid_act_carries_torus_characters(case):
     assert [f.coeffs for f in got] == [f.coeffs for f in want]
     # the Gram matrix equals the one of the classes first expanded in Z
     expanded = ExceptionalBasis([f._in_z() for f in got], verify=False)
-    g = gram_matrix(ExceptionalBasis(got, verify=False))
-    assert g.vars == (zvars(n) if any(f.ring == zvars(n) for f in got) else evars(n))
-    assert g.map(lambda p: to_z(p, n)) == gram_matrix(expanded)
+    gram = gram_matrix(ExceptionalBasis(got, verify=False))
+    assert gram.vars == (zvars(n) if any(f.ring == zvars(n) for f in got) else evars(n))
+    assert gram.map(lambda p: to_z(p, n)) == gram_matrix(expanded)
     assert all(tuple(to_z(c, n) for c in f.ocoords) == f._in_z().ocoords for f in got)
     for f, g in zip(got, got[1:] + got[:1]):
         closed = chi_pair(f, g)
