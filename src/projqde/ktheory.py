@@ -57,6 +57,7 @@ def xz_vars(n: int) -> tuple[str, ...]:
     return ("X",) + zvars(n)
 
 
+@lru_cache(maxsize=None)
 def _e(n: int, k: int) -> LaurentPoly:
     """e_k(Z) in the representation ring (e_0 = 1)."""
     vs = evars(n)
@@ -66,6 +67,13 @@ def _e(n: int, k: int) -> LaurentPoly:
 def _en_power(n: int, a: int, c=1) -> LaurentPoly:
     """c e_n^a in the representation ring; e_n = Z1...Zn is a unit."""
     return LaurentPoly.monomial(evars(n), (0,) * (n - 1) + (a,), c)
+
+
+def unit_c(n: int, a: int = 1) -> LaurentPoly:
+    """c^a for the unit c = (-1)^{n-1} e_n: the canonical operator is X^n / c,
+    the formal monodromy is c (S1 S2)^{-1}, and the rescaled sorted bases
+    carry c^{-floor(m/n)}.  The sign stays an int for any a."""
+    return _en_power(n, a, (-1) ** ((n - 1) * a % 2))
 
 
 @lru_cache(maxsize=None)
@@ -120,11 +128,8 @@ def _o_power_coords(vs: tuple[str, ...], i: int) -> tuple[LaurentPoly, ...]:
             LaurentPoly.one(vs) if j == i else LaurentPoly.zero(vs) for j in range(n)
         )
     if i >= n:
-        # [O(i)] = (-1)^{n+1} e_n^{-1} sum_{k=0..n-1} (-1)^k e_k [O(i-n+k)]
-        return _expand(
-            vs,
-            [(_e(n, k) * _en_power(n, -1, (-1) ** (n + 1 + k)), i - n + k) for k in range(n)],
-        )
+        # [O(i)] = c^{-1} sum_{k=0..n-1} (-1)^k e_k [O(i-n+k)]
+        return _expand(vs, [(_e(n, k) * unit_c(n, -1) * (-1) ** k, i - n + k) for k in range(n)])
     # i < 0: [O(i)] = -sum_{k=1..n} (-1)^k e_k [O(i+k)]
     return _expand(vs, [(_e(n, k) * (-1) ** (k + 1), i + k) for k in range(1, n + 1)])
 
@@ -317,9 +322,8 @@ def kclass_from_laurent(f: LaurentPoly, n: int) -> KClass:
 
 def serre_twist(e: KClass) -> KClass:
     """Canonical operator on classes: tensor by the canonical sheaf and shift,
-    i.e. multiply by (-1)^{n-1} X^n / prod Z_j."""
-    n = e.n
-    return e.twist(n).scale(_en_power(n, -1, (-1) ** (n - 1)))
+    i.e. multiply by X^n / c with c = (-1)^{n-1} prod Z_j."""
+    return e.twist(e.n).scale(unit_c(e.n, -1))
 
 
 # -- Euler pairing -----------------------------------------------------------------
@@ -578,19 +582,11 @@ def braid_constants(name: str, n: int) -> BraidWord:
             letters.extend(range(r, 0, -1))
         return BraidWord(tuple(letters))
     if name == "gamma":
-        if n == 2:
-            return BraidWord(())
-        ell = n - 1 if n % 2 == 1 else n - 2
-        letters = []
-        for k in range(ell, 1, -2):
-            letters.extend(range(k, n))
-        return BraidWord(tuple(letters))
+        return BraidWord(tuple(t for k in range(2 * ((n - 1) // 2), 1, -2) for t in range(k, n)))
     if name == "delta_odd":
-        top = n - 2 if n % 2 == 1 else n - 1
-        return BraidWord(tuple(range(1, top + 1, 2)))
+        return BraidWord(tuple(range(1, n, 2)))
     if name == "delta_even":
-        top = n - 1 if n % 2 == 1 else n - 2
-        return BraidWord(tuple(range(2, top + 1, 2)))
+        return BraidWord(tuple(range(2, n, 2)))
     if name in ("sigma_odd", "sigma_even"):
         first = "delta_odd" if name == "sigma_odd" else "delta_even"
         second = "delta_even" if name == "sigma_odd" else "delta_odd"
@@ -651,7 +647,7 @@ def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:
 def canonical_spectrum_poly(n: int) -> LaurentPoly:
     """prod_i (lambda - (-1)^{n-1} Z_i^n / e_n(Z)) in (LAM, E1..En), the
     characteristic polynomial the canonical operator must have."""
-    return spectrum_poly(n, _en_power(n, -1, (-1) ** (n - 1)))
+    return spectrum_poly(n, unit_c(n, -1))
 
 
 def dioph_residual(gram: LaurentMatrix, n: int) -> LaurentPoly:
@@ -731,59 +727,15 @@ def exterior_tangent_class(h: int, twist: int, n: int) -> KClass:
     return KClass._of(_expand(evars(n), terms))
 
 
-def _psi_class(m: int, ell: int, n: int) -> KClass:
-    """Class of the solution labelled (m, ell): X^m - s_1 X^{m-1} + ... +
-    (-1)^{m-ell} s_{m-ell} X^ell.  Equals (-1)^{m-ell} [Lambda^{m-ell}T(-m)]."""
-    h = m - ell
-    if not 0 <= h <= n:
-        raise ValueError("need 0 <= m - ell <= n")
-    terms = [(_e(n, j) * (-1) ** j, j - m) for j in range(h + 1)]
-    return KClass._of(_expand(evars(n), terms))
-
-
-def _psi_label(m: int, ell: int) -> str:
-    h = m - ell
-    if h == 0:
-        return f"O({-m})"
-    return f"Λ^{h} T({-m})[{-h}]"
-
-
 def _structured_slots(kind: str, k: int, n: int) -> list[tuple[int, int]]:
-    """(m, ell) per position 1..n for the named bases."""
+    """(m, ell) per position 1..n: the sort rule of `structured_basis`."""
     if kind == "Q":
-        return [(k + n - p, k + n - p) for p in range(1, n + 1)]
-    slots: dict[int, tuple[int, int]] = {}
-    if n % 2 == 1:
-        h = (n - 1) // 2
-        if kind == "Qp":
-            for t in range(h + 1):
-                slots[2 * h + 1 - 2 * t] = (k + t, k + t)
-            for t in range(h):
-                slots[2 * h - 2 * t] = (k + 2 * h - t, k + 1 + t)
-        elif kind == "Qpp":
-            for t in range(h):
-                slots[2 * h - 2 * t] = (k + t, k + t)
-            slots[1] = (k + h, k + h)
-            for t in range(h):
-                slots[2 * h + 1 - 2 * t] = (k + 2 * h - t, k + t)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-    else:
-        h = n // 2
-        if kind == "Qp":
-            for t in range(h):
-                slots[2 * h - 2 * t] = (k + t, k + t)
-            slots[1] = (k + h, k + h)
-            for t in range(h - 1):
-                slots[2 * h - 1 - 2 * t] = (k + 2 * h - 1 - t, k + 1 + t)
-        elif kind == "Qpp":
-            for t in range(h):
-                slots[2 * h - 1 - 2 * t] = (k + t, k + t)
-            for t in range(h):
-                slots[2 * h - 2 * t] = (k + 2 * h - 1 - t, k + t)
-        else:
-            raise ValueError(f"unknown kind {kind!r}")
-    return [slots[p] for p in range(1, n + 1)]
+        return [(k + u, k + u) for u in reversed(range(n))]
+    if kind not in ("Qp", "Qpp"):
+        raise ValueError(f"unknown kind {kind!r}")
+    N = n if kind == "Qp" else n - 1
+    us = sorted(range(n), key=lambda u: (abs(2 * u - N), 2 * u > N))
+    return [(k + u, k + min(u, N - u)) for u in us]
 
 
 def structured_basis(kind: str, k: int, n: int) -> ExceptionalBasis:
@@ -792,25 +744,22 @@ def structured_basis(kind: str, k: int, n: int) -> ExceptionalBasis:
     Kinds: 'Q' (consecutive line bundles), 'Qp' and 'Qpp' (the sorted bases of
     line bundles and exterior tangent powers), and 'Qpt'/'Qppt' (the same with
     the determinant-character rescaling that normalizes asymptotics).
+
+    The element of index u = 0..n-1 has m = k + u.  'Q' puts it at position
+    n - u, as O(-m).  'Qp' and 'Qpp' take N = n and N = n - 1, sort u by
+    (|2u - N|, 2u > N), and take (-1)^h Lambda^h T(-m) with h = max(0, 2u - N),
+    which is O(-m) when 2u <= N.  The rescaled kinds multiply each element by
+    c^{-floor(m/n)}, c the unit of `unit_c`.  The eigenvalue tag is m mod n.
     """
     if n < 2:
         raise ValueError("rank must be at least 2")
     tilde = kind in ("Qpt", "Qppt")
     base_kind = {"Qpt": "Qp", "Qppt": "Qpp"}.get(kind, kind)
-    slots = _structured_slots(base_kind, k, n)
-    elements = []
-    labels = []
-    tags = []
-    for m, ell in slots:
-        cls = _psi_class(m, ell, n)
-        label = _psi_label(m, ell)
-        if tilde:
-            a = -(m // n)
-            if a != 0:
-                sign = 1 if (n + 1) % 2 == 0 else -1
-                cls = cls.scale(_en_power(n, a, sign ** abs(a)))
-                label = f"{label} ⊗ det^{a}"
-        elements.append(cls)
-        labels.append(label)
+    elements, labels, tags = [], [], []
+    for m, ell in _structured_slots(base_kind, k, n):
+        h, a = m - ell, -(m // n) if tilde else 0
+        cls = exterior_tangent_class(h, m, n)
+        elements.append(cls.scale(unit_c(n, a) * (-1) ** h) if h % 2 or a else cls)
+        labels.append((f"Λ^{h} T({-m})[{-h}]" if h else f"O({-m})") + (f" ⊗ det^{a}" if a else ""))
         tags.append(m % n)
     return ExceptionalBasis(elements, labels, tags, verify=False)

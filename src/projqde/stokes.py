@@ -48,6 +48,7 @@ from .ktheory import (
     gram_matrix,
     spectrum_poly,
     structured_basis,
+    unit_c,
 )
 from .qde import system_matrices
 from .qkz import qkz_operator_symbolic
@@ -70,8 +71,9 @@ W = "W"  # the adjoined root of unity, of order 2n unless stated otherwise
 @dataclass(frozen=True)
 class SectorId:
     """A maximal Stokes sector: kind 'Vprime' is (k/n - 1/2 - 1/2n, k/n) in the
-    angular coordinate phi, kind 'Vdprime' the complementary family shifted by
-    1/2n; each spans n+1 consecutive Stokes rays phi = j/2n."""
+    angular coordinate phi, kind 'Vdprime' the complementary family shifted
+    down by 1/2n; each spans n+1 consecutive Stokes rays phi = j/2n.  The upper
+    edge is the ray j = 2k - [Vdprime]."""
 
     kind: str
     k: int
@@ -81,12 +83,10 @@ class SectorId:
             raise ValueError("kind must be 'Vprime' or 'Vdprime'")
 
     def rotate_half(self, n: int) -> "SectorId":
-        """Image under s -> e^{i pi} s (phi decreases by 1/2)."""
-        if n % 2 == 0:
-            return SectorId(self.kind, self.k - n // 2)
-        if self.kind == "Vprime":
-            return SectorId("Vdprime", self.k - (n - 1) // 2)
-        return SectorId("Vprime", self.k - (n + 1) // 2)
+        """Image under s -> e^{i pi} s: phi decreases by 1/2, so the upper
+        edge moves from ray 2k - [Vdprime] to ray j = 2k - [Vdprime] - n."""
+        j = 2 * self.k - (self.kind == "Vdprime") - n
+        return SectorId("Vdprime" if j % 2 else "Vprime", (j + 1) // 2)
 
     def basis_kind(self) -> str:
         return "Qpt" if self.kind == "Vprime" else "Qppt"
@@ -483,10 +483,8 @@ def _formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int
     taken on the sparser pencil lambda S1 - c S2^{-1}, c = (-1)^{n-1} e_n(Z),
     whose determinant is det(lambda S1 S2 - c) / det S2 = det(lambda S1 S2 - c),
     as `stokes_matrices` asserts S2 lower unitriangular."""
-    vs = evars(n)
-    sn = LaurentPoly.variable(vs, f"E{n}") * (-1) ** (n - 1)
-    char = char_poly(s1, s2.inverse() * sn)
-    return char - spectrum_poly(n, LaurentPoly.one(vs))
+    char = char_poly(s1, s2.inverse() * unit_c(n))
+    return char - spectrum_poly(n, LaurentPoly.one(evars(n)))
 
 
 # -- roots of unity --------------------------------------------------------------------------

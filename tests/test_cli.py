@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from projqde import qde
 from projqde.cli import main, parse_kclass_expr, parse_sector, parse_z
 from projqde.ring import LaurentPoly
 from projqde.ktheory import xz_vars
@@ -132,6 +133,14 @@ def test_bad_usage_exit_2(capsys):
         ["gram", "--n", "3", "--word"],
         ["gram", "--n", "3", "--no-such-flag"],
         ["no-such-command", "--n", "3"],
+        # a series order is a positive integer, a tolerance finite and >= 0
+        ["psi", "--n", "2", "--z", "0.1,0.4", "--q", "0.3", "--order", "-1"],
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "0.3", "--order", "0"],
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "0.3", "--order", "-1", "--solution", "top"],
+        ["formal-reduce", "--n", "2", "--order", "-1"],
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "0.3", "--order", "1", "--tol", "nan"],
+        ["dubrovin", "--n", "2", "--tol", "-1"],
+        ["b-check", "--n", "2", "--z", "0.1,0.4", "--tol", "inf"],
     ],
 )
 def test_out_of_range_input_exit_2(capsys, argv):
@@ -154,6 +163,49 @@ def test_out_of_range_input_exit_2(capsys, argv):
 def test_q_out_of_domain_names_q(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: q must be")
+
+
+def test_order_and_tol_from_a_config_file_are_checked(tmp_path, capsys):
+    for line in ("order = 0", "tol = nan"):
+        conf = tmp_path / "run.conf"
+        conf.write_text(line + "\n")
+        assert main(["--config", str(conf), "dubrovin", "--n", "2"]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_nan_residual_is_a_failure(capsys):
+    # the residue series overflows at this q and its residuals are NaN
+    assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith("FAILED: difference residual nan")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "0.3"],
+        ["verify-all", "--n", "2", "--fast"],
+    ],
+)
+def test_nan_ode_residual_is_a_failure(monkeypatch, capsys, argv):
+    monkeypatch.setattr(qde, "ode_residual", lambda *args: float("nan"))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("FAILED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-qde", "--n", "2", "--z", "0.1,nan", "--q", "0.3"],
+        ["qkz", "--n", "2", "--i", "1", "--z", "inf,0.3", "--q", "0.3"],
+        ["psi", "--n", "2", "--z", "0.1,nan+1j", "--q", "0.3"],
+    ],
+)
+def test_z_out_of_domain_names_z(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: z must be finite")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_largest_accepted_exponents(capsys):

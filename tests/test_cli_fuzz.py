@@ -19,6 +19,8 @@ ranks = st.sampled_from(range(-2, 5))
 exponents = st.one_of(st.integers(-10, 10), st.integers(-300, 300))
 indices = st.sampled_from(range(-1, 6))
 qs = st.sampled_from(["0", "0.3"])
+orders = st.sampled_from(["-1", "0", "8"])
+tols = st.sampled_from([["--tol", "nan"], ["--tol", "-1"], []])
 classes = st.one_of(
     st.just("1"),
     exponents.map(lambda k: f"X^{k}"),
@@ -46,7 +48,7 @@ def z_text(n: int) -> str:
 def command_lines(draw):
     n = draw(ranks)
     N = ["--n", str(n)]
-    numeric = [*N, "--z", z_text(n), "--order", "8"]
+    numeric = [*N, "--z", z_text(n), "--order", draw(orders), *draw(tols)]
     kind = draw(
         st.sampled_from(
             ["gram", "braid", "dioph-check", "mutate", "psi", "qkz-check", "qkz", "solve-qde",

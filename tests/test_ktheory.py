@@ -787,11 +787,13 @@ def test_structured_basis_examples():
     n = 5
 
     def psi(m, ell):
-        from projqde.ktheory import _psi_class
-
-        return _psi_class(m, ell, n)
+        # (-1)^{m-ell} Lambda^{m-ell} T(-m) = X^m - s_1 X^{m-1} + ... + (-1)^{m-ell} s_{m-ell} X^ell
+        cls = exterior_tangent_class(m - ell, m, n)
+        return -cls if (m - ell) % 2 else cls
 
     assert qp.elements == (psi(1, 1), psi(2, 1), psi(0, 0), psi(3, 0), psi(-1, -1))
+    assert qp.labels == ("O(-1)", "Λ^1 T(-2)[-1]", "O(0)", "Λ^3 T(-3)[-3]", "O(1)")
+    assert qp.eigen_tags == (1, 2, 0, 3, 4)
     qppt = structured_basis("Qppt", -1, 5)
     s5 = sym_poly("elementary", 5, 5)
     assert qppt.elements == (
@@ -801,6 +803,16 @@ def test_structured_basis_examples():
         psi(-1, -1).scale(s5),
         psi(3, -1),
     )
+    assert qppt.labels == ("O(-1)", "O(0)", "Λ^2 T(-2)[-2]", "O(1) ⊗ det^1", "Λ^4 T(-3)[-4]")
+    assert qppt.eigen_tags == (1, 0, 2, 4, 3)
+
+    # rank 6: the labels and tags the CLI prints, which braid images do not carry
+    qpt = structured_basis("Qpt", -2, 6)
+    assert qpt.labels == ("O(-1)", "O(0)", "Λ^2 T(-2)[-2]", "O(1) ⊗ det^1", "Λ^4 T(-3)[-4]", "O(2) ⊗ det^1")
+    assert qpt.eigen_tags == (1, 0, 2, 5, 3, 4)
+    qpp = structured_basis("Qpp", 1, 6)
+    assert qpp.labels == ("O(-3)", "Λ^1 T(-4)[-1]", "O(-2)", "Λ^3 T(-5)[-3]", "O(-1)", "Λ^5 T(-6)[-5]")
+    assert qpp.eigen_tags == (3, 4, 2, 5, 1, 0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -811,9 +823,9 @@ def test_structured_bases_are_exceptional_with_tags(n):
         assert sorted(b.eigen_tags) == list(range(n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_structured_bases_match_braid_action(n):
-    for k in (-1, 0, 1):
+    for k in range(-2, 3):
         q = structured_basis("Q", k, n)
         qp = structured_basis("Qp", k, n)
         qpp = structured_basis("Qpp", k, n)
@@ -821,11 +833,11 @@ def test_structured_bases_match_braid_action(n):
         assert braid_act(braid_constants("delta_odd", n), qp).elements == qpp.elements
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", range(2, 9))
 def test_tilde_diagram_commutes(n):
     # delta_even sends the rescaled double-sorted basis at k to the rescaled
     # sorted basis at k-1
-    for k in (0, 1):
+    for k in range(-2, 3):
         lhs = braid_act(braid_constants("delta_even", n), structured_basis("Qppt", k, n))
         rhs = structured_basis("Qpt", k - 1, n)
         assert lhs.elements == rhs.elements
@@ -853,6 +865,15 @@ def test_braid_constants_words():
     assert braid_constants("gamma", 2).letters == ()
     assert braid_constants("gamma", 5).letters == (4, 2, 3, 4)
     assert braid_constants("beta", 3).letters == (1, 2, 1)
+    words = {
+        2: ((), (1,), ()),
+        3: ((2,), (1,), (2,)),
+        6: ((4, 5, 2, 3, 4, 5), (1, 3, 5), (2, 4)),
+        7: ((6, 4, 5, 6, 2, 3, 4, 5, 6), (1, 3, 5), (2, 4, 6)),
+    }
+    for n, want in words.items():
+        got = tuple(braid_constants(name, n).letters for name in ("gamma", "delta_odd", "delta_even"))
+        assert got == want, n
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

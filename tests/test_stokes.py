@@ -208,7 +208,7 @@ def test_sector_rotation_composition():
             assert full == SectorId(kind, 1 - n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(2, 7))
 def test_half_turn_basis_is_half_twist_image(n):
     for kind in ("Vprime", "Vdprime"):
         for k in (-1, 0, 1):

@@ -95,6 +95,7 @@ def main(argv=None) -> int:
             "parent and change alternate which runs first for each seed"
         ),
         "parent": git_head(args.parent),
+        "change": git_head(args.change),
         "workloads": {},
     }
     for w in spec["workloads"]:
