@@ -16,6 +16,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,8 +160,7 @@ def _checked(convert, ok, what: str):
     return parse
 
 
-# made once: made anew in each `build_parser` call, they cost the numeric-cli
-# benchmark 0.7 MB of peak RSS and 3.5% of its wall time
+# the types of --order and --tol, for the commands that take them
 _ORDER = _checked(int, lambda k: k >= 1, "a positive integer")
 _TOL = _checked(float, lambda x: 0 <= x < math.inf, "finite and at least 0")
 
@@ -238,13 +238,19 @@ def _named_basis(name: str, k: int, n: int):
     raise ValueError(f"unknown basis {name!r}")
 
 
+def _basis(args):
+    """The basis named by --basis and --k, acted on by --word."""
+    basis = _named_basis(args.basis, args.k, args.n)
+    if args.word:
+        basis = ktheory.braid_act(parse_word(args.word, args.n), basis)
+    return basis
+
+
 # -- commands -----------------------------------------------------------------------
 
 
 def cmd_gram(args) -> dict:
-    basis = _named_basis(args.basis, args.k, args.n)
-    if args.word:
-        basis = ktheory.braid_act(parse_word(args.word, args.n), basis)
+    basis = _basis(args)
     g = ktheory.gram_matrix(basis)
     return {
         "n": args.n,
@@ -290,20 +296,12 @@ def cmd_braid(args) -> dict:
 
 def cmd_dioph_check(args) -> dict:
     n = args.n
-    basis = _named_basis(args.basis, args.k, n)
-    if args.word:
-        basis = ktheory.braid_act(parse_word(args.word, args.n), basis)
-    g = ktheory.gram_matrix(basis)
+    g = ktheory.gram_matrix(_basis(args))
     residual = ktheory.dioph_residual(g, n)
     report = {"n": n, "basis": args.basis, "char_poly_residual_zero": residual.is_zero()}
-    if n == 3:
-        report["markov_residuals_zero"] = [
-            r.is_zero() for r in ktheory.markov_residuals_rank3(g)
-        ]
-    if n == 4:
-        report["markov_residuals_zero"] = [
-            r.is_zero() for r in ktheory.markov_residuals_rank4(g)
-        ]
+    markov = {3: ktheory.markov_residuals_rank3, 4: ktheory.markov_residuals_rank4}.get(n)
+    if markov:
+        report["markov_residuals_zero"] = [r.is_zero() for r in markov(g)]
     if not residual.is_zero():
         raise MathFailure("canonical characteristic polynomial constraint violated")
     return report
@@ -402,16 +400,7 @@ def cmd_stokes(args) -> dict:
         "s1": rep["s1"],
         "s2": rep["s2"],
         "gram": rep["gram"],
-        "identities": {
-            key: rep[key]
-            for key in (
-                "stokes_is_dual_gram",
-                "stokes_is_gram",
-                "dagger_pair",
-                "char_poly",
-                "formal_monodromy",
-            )
-        },
+        "identities": {key: v for key, v in rep.items() if isinstance(v, bool)},
     }
     if not all(report["identities"].values()):
         raise MathFailure("a Stokes identity failed")
@@ -498,7 +487,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: building the tree takes about 3 ms, many
+    times the cost of parsing one command line with it."""
     top = _Parser(
         prog="projqde",
         description="equivariant qDE/qKZ workbench for projective space",
@@ -507,101 +499,78 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--output", help="write the JSON report to this path")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, order=40, tol=1e-6):
+    def command(name, help, fn):
+        p = sub.add_parser(name, help=help)
         # a braid word -1,2 or parameters -0.1,0.3 are values, not options
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--order", type=_ORDER, default=order)
+        p.set_defaults(fn=fn)
+        return p
+
+    def basis_options(p):
+        p.add_argument("--basis", default="beilinson")
+        p.add_argument("--k", type=int, default=0)
+        p.add_argument("--word", default="")
+
+    def series_options(p, tol):
+        p.add_argument("--z", required=True)
+        p.add_argument("--order", type=_ORDER, default=40)
         p.add_argument("--tol", type=_TOL, default=tol)
 
-    p = sub.add_parser("gram", help="Gram matrix of a named or mutated basis")
-    common(p)
-    p.add_argument("--basis", default="beilinson")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--word", default="")
-    p.set_defaults(fn=cmd_gram)
+    basis_options(command("gram", "Gram matrix of a named or mutated basis", cmd_gram))
 
-    p = sub.add_parser("mutate", help="left/right mutation of one class")
-    common(p)
+    p = command("mutate", "left/right mutation of one class", cmd_mutate)
     p.add_argument("--side", choices=["left", "right"], required=True)
     p.add_argument("--pivot", required=True)
     p.add_argument("--target", required=True)
-    p.set_defaults(fn=cmd_mutate)
 
-    p = sub.add_parser("braid", help="act with a braid word on a named basis")
-    common(p)
-    p.add_argument("--basis", default="beilinson")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--word", default="")
+    p = command("braid", "act with a braid word on a named basis", cmd_braid)
+    basis_options(p)
     p.add_argument("--name", default="")
-    p.set_defaults(fn=cmd_braid)
 
-    p = sub.add_parser("dioph-check", help="canonical characteristic constraints")
-    common(p)
-    p.add_argument("--basis", default="beilinson")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--word", default="")
-    p.set_defaults(fn=cmd_dioph_check)
+    basis_options(command("dioph-check", "canonical characteristic constraints", cmd_dioph_check))
 
-    p = sub.add_parser("solve-qde", help="fundamental solutions at the regular point")
-    common(p, tol=1e-8)
-    p.add_argument("--z", required=True)
+    p = command("solve-qde", "fundamental solutions at the regular point", cmd_solve_qde)
+    series_options(p, tol=1e-8)
     p.add_argument("--q", required=True)
     p.add_argument("--solution", choices=["levelt", "top"], default="levelt")
-    p.set_defaults(fn=cmd_solve_qde)
 
-    p = sub.add_parser("qkz", help="shift-operator matrix")
-    common(p)
+    p = command("qkz", "shift-operator matrix", cmd_qkz)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--basis", choices=["g", "x"], default="x")
-    p.set_defaults(fn=cmd_qkz)
 
-    p = sub.add_parser("qkz-check", help="difference residuals of a solution")
-    common(p, tol=1e-8)
+    p = command("qkz-check", "difference residuals of a solution", cmd_qkz_check)
     p.add_argument("--q", required=True)
-    p.add_argument("--z", required=True)
+    series_options(p, tol=1e-8)
     p.add_argument("--class", dest="cls", default="1")
-    p.set_defaults(fn=cmd_qkz_check)
 
-    p = sub.add_parser("psi", help="residue-series solution of a class")
-    common(p, tol=1e-6)
-    p.add_argument("--z", required=True)
+    p = command("psi", "residue-series solution of a class", cmd_psi)
+    series_options(p, tol=1e-6)
     p.add_argument("--q", required=True)
     p.add_argument("--class", dest="cls", default="1")
     p.add_argument("--oracle", choices=["contour", "none"], default="none")
-    p.set_defaults(fn=cmd_psi)
 
-    p = sub.add_parser("b-check", help="comparison-matrix verification")
-    common(p, tol=1e-6)
-    p.add_argument("--z", required=True)
+    p = command("b-check", "comparison-matrix verification", cmd_b_check)
+    series_options(p, tol=1e-6)
     p.add_argument("--k", type=int, default=0)
-    p.set_defaults(fn=cmd_b_check)
 
-    p = sub.add_parser("stokes", help="Stokes matrices and Gram identities")
-    common(p)
+    p = command("stokes", "Stokes matrices and Gram identities", cmd_stokes)
     p.add_argument("--sector", required=True, help="vp:K or vpp:K")
     p.add_argument("--z", default="")
-    p.set_defaults(fn=cmd_stokes)
 
-    p = sub.add_parser("formal-reduce", help="formal gauge coefficients at infinity")
-    common(p, order=4)
+    p = command("formal-reduce", "formal gauge coefficients at infinity", cmd_formal_reduce)
+    p.add_argument("--order", type=_ORDER, default=4)
     p.add_argument("--z", default=None)
-    p.set_defaults(fn=cmd_formal_reduce)
 
-    p = sub.add_parser("roots-of-unity", help="degeneration suite")
-    common(p)
-    p.set_defaults(fn=cmd_roots_of_unity)
+    command("roots-of-unity", "degeneration suite", cmd_roots_of_unity)
 
-    p = sub.add_parser("dubrovin", help="bridge to the isomonodromic system")
-    common(p, tol=1e-8)
-    p.set_defaults(fn=cmd_dubrovin)
+    p = command("dubrovin", "bridge to the isomonodromic system", cmd_dubrovin)
+    p.add_argument("--tol", type=_TOL, default=1e-8)
 
-    p = sub.add_parser("verify-all", help="aggregate verification")
-    common(p)
+    p = command("verify-all", "aggregate verification", cmd_verify_all)
     p.add_argument("--fast", action="store_true")
-    p.set_defaults(fn=cmd_verify_all)
 
     return top
 
@@ -639,12 +608,17 @@ def main(argv=None) -> int:
     try:
         if args.n < 1:
             raise ValueError(f"rank n must be positive, got {args.n}")
-        report = args.fn(args)
+        # a float overflow shows as a NaN verdict or an OverflowError, not a warning
+        with np.errstate(all="ignore"):
+            report = args.fn(args)
     except MathFailure as exc:
         sys.stderr.write(f"FAILED: {exc}\n")
         return 1
-    except (ValueError, ZeroDivisionError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
+    except (ValueError, ArithmeticError) as exc:
+        message = str(exc)
+        if isinstance(exc, OverflowError) and "q" in vars(args):
+            message = f"numeric overflow at q = {args.q} ({exc})"
+        sys.stderr.write(f"error: {message}\n")
         return 2
     emit(report, args.output)
     return 0

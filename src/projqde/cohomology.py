@@ -123,10 +123,10 @@ class NumericContext:
                         f"parameters outside the resonance-free domain: z{i + 1}-z{j + 1}={d}"
                     )
 
-    def shift(self, i: int, step: int = -1) -> "NumericContext":
-        """Context with z_i shifted by an integer step (default the qKZ shift -1)."""
+    def shift(self, i: int) -> "NumericContext":
+        """Context with z_i shifted by -1, the qKZ shift."""
         z = list(self.z)
-        z[i - 1] += step
+        z[i - 1] -= 1
         return NumericContext(z)
 
     def gamma(self, w: complex) -> complex:
@@ -174,18 +174,6 @@ class CohClass:
         """Coordinates in the basis 1, x, .., x^{n-1}."""
         _, dinv = vandermonde(self.n, ctx.z)
         return dinv @ self.to_vector()
-
-    def to_json(self) -> dict:
-        out = []
-        for r in self.restrictions:
-            if isinstance(r, LaurentPoly):
-                out.append(r.to_json())
-            elif isinstance(r, (int, Fraction)):
-                out.append({"num": str(Fraction(r).numerator), "den": str(Fraction(r).denominator)})
-            else:
-                c = complex(r)
-                out.append([repr(c.real), repr(c.imag)])
-        return {"basis": "delta", "restrictions": out}
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(r) for r in self.restrictions) + ")"

@@ -214,10 +214,9 @@ def contour_oracle(
     ctx: NumericContext,
     p: float | None = None,
     log_q: complex | None = None,
-    cutoff: float = 9.0,
 ) -> CohClass:
     """Evaluate the solution attached to Q by quadrature over the parabola
-    t = p + u^2 + i u, independent of the residue series."""
+    t = p + u^2 + i u, |u| <= 9, independent of the residue series."""
     n = ctx.n
     z = [complex(w) for w in ctx.z]
     if Q.vars != xz_vars(n):
@@ -255,8 +254,8 @@ def contour_oracle(
                 total += zfac * w * cmath.exp(expo)
             return total * (2 * u + 1j)
 
-        re = quad(lambda u: integrand(u).real, -cutoff, cutoff, limit=400)[0]
-        im = quad(lambda u: integrand(u).imag, -cutoff, cutoff, limit=400)[0]
+        re = quad(lambda u: integrand(u).real, -9.0, 9.0, limit=400)[0]
+        im = quad(lambda u: integrand(u).imag, -9.0, 9.0, limit=400)[0]
         restrictions.append((re + 1j * im) / (2j * cmath.pi))
     return CohClass(n, restrictions)
 
@@ -264,8 +263,8 @@ def contour_oracle(
 # -- asymptotics at the irregular point ---------------------------------------------------
 
 
-def _adaptive_order(n: int, abs_q: float, minimum: int = 60) -> int:
-    return max(minimum, int(4 * n * abs_q ** (1.0 / n)) + 40)
+def _adaptive_order(n: int, abs_q: float) -> int:
+    return max(60, int(4 * n * abs_q ** (1.0 / n)) + 40)
 
 
 def asymptotic_ratio(m: int, r: float, branch: BranchContext, ctx: NumericContext) -> complex:
@@ -322,19 +321,14 @@ def analytic_comparison_matrix(k: int, ctx: NumericContext) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def b_theorem_check(
-    k: int,
-    ctx: NumericContext,
-    order: int = 40,
-    q_samples: Sequence[complex] = (0.1, 0.2, 0.3),
-) -> dict:
-    """Solve Y_qhyp = Y_top * M numerically across the samples and compare M to
-    the analytic comparison matrix."""
+def b_theorem_check(k: int, ctx: NumericContext, order: int) -> dict:
+    """Solve Y_qhyp = Y_top * M numerically at q = 0.1, 0.2, 0.3 and compare
+    M to the analytic comparison matrix."""
     n = ctx.n
     top = topological_series(n, ctx.z, order)
     sols = [psi_power(k + n - 1 - m, ctx, order) for m in range(n)]
     ms = []
-    for q in q_samples:
+    for q in (0.1, 0.2, 0.3):
         yq = np.column_stack([s.x_coords(q) for s in sols])
         yt = top.matrix(q)
         ms.append(np.linalg.solve(yt, yq))

@@ -428,13 +428,6 @@ class ExceptionalBasis:
 
     __hash__ = None
 
-    def to_json(self) -> dict:
-        return {
-            "elements": [e.to_json() for e in self.elements],
-            "labels": list(self.labels),
-            "eigen_tags": list(self.eigen_tags) if self.eigen_tags is not None else None,
-        }
-
     def __str__(self) -> str:
         return "(" + ", ".join(self.labels) + ")"
 

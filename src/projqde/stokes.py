@@ -561,13 +561,13 @@ def gram_orthonormal_at_unity(n: int) -> bool:
     return _identity_at_unity(gram_matrix(beilinson_basis(n)), n)
 
 
-def partition_basis_values(n: int, s: complex, order: int = 120) -> np.ndarray:
-    """g_m(s) = sum_k (n s)^{m+kn}/(m+kn)! for m = 0..n-1."""
+def partition_basis_values(n: int, s: complex) -> np.ndarray:
+    """g_m(s) = sum_k (n s)^{m+kn}/(m+kn)! for m = 0..n-1, through k = 119."""
     out = np.zeros(n, dtype=complex)
     for m in range(n):
         term = (n * s) ** m / math.factorial(m)
         total = term
-        for k in range(1, order):
+        for k in range(1, 120):
             for j in range(m + (k - 1) * n + 1, m + k * n + 1):
                 term = term * (n * s) / j
             total += term
@@ -575,7 +575,7 @@ def partition_basis_values(n: int, s: complex, order: int = 120) -> np.ndarray:
     return out
 
 
-def roots_of_unity_suite(n: int, sectors: Sequence[SectorId] | None = None) -> dict:
+def roots_of_unity_suite(n: int) -> dict:
     """The degeneration report: scalar collapse, Stirling identities, exact
     Stokes triviality, orthonormality, monodromy order, eigenbasis property,
     and the partition of the exponential."""
@@ -584,9 +584,9 @@ def roots_of_unity_suite(n: int, sectors: Sequence[SectorId] | None = None) -> d
         "scalar_collapse": scalar_collapse_residual(n).is_zero(),
         "stirling_values": stirling_value_checks(n),
     }
-    if sectors is None:
-        sectors = [SectorId("Vprime", 0), SectorId("Vdprime", 0)]
-    report["stokes_trivial"] = all(stokes_trivial_at_unity(s, n) for s in sectors)
+    report["stokes_trivial"] = all(
+        stokes_trivial_at_unity(SectorId(kind, 0), n) for kind in ("Vprime", "Vdprime")
+    )
     report["orthonormal_gram"] = gram_orthonormal_at_unity(n)
     zo = [complex(w) for w in root_of_unity_point(n)]
     m0 = np.diag([cmath.exp(2j * cmath.pi * w) for w in zo])
@@ -633,10 +633,11 @@ def antisymmetric_v_exact(n: int) -> bool:
     return (v + v.transpose()) == LaurentMatrix.zero(n, n, vs)
 
 
-def dubrovin_bridge(n: int, lam_samples: Sequence[float] = (1.4, 2.1)) -> dict:
+def dubrovin_bridge(n: int) -> dict:
     """Integrate the zero-parameter reduced system dT/ds = (B0 + B1(0)/s) T and
-    verify that lambda^{-(n-1)/2} E T(lambda) solves dY/dlambda = (U + V/lambda) Y,
-    with V antisymmetric; derivative by a five-point stencil on the RK4 grid."""
+    verify at lambda = 1.4 and 2.1 that lambda^{-(n-1)/2} E T(lambda) solves
+    dY/dlambda = (U + V/lambda) Y, with V antisymmetric; derivative by a
+    five-point stencil on the RK4 grid."""
     e, einv = e_matrix(n)
     b0, b1 = (_evaluate(b, dict.fromkeys(cohom_vars(n), 0)) for b in shear_coeffs(n)[:2])
     mu = b1 - (n - 1) / 2 * np.eye(n)
@@ -668,7 +669,7 @@ def dubrovin_bridge(n: int, lam_samples: Sequence[float] = (1.4, 2.1)) -> dict:
         return lam ** (-(n - 1) / 2) * (e @ ts[idx])
 
     worst = 0.0
-    for lam in lam_samples:
+    for lam in (1.4, 2.1):
         idx = int(round((lam - s0) / h))
         lam = s0 + idx * h
         dy = (-y_at(idx + 2) + 8 * y_at(idx + 1) - 8 * y_at(idx - 1) + y_at(idx - 2)) / (12 * h)

@@ -1,6 +1,7 @@
 """Command-line front end: dispatch, determinism, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -169,8 +170,61 @@ def test_order_and_tol_from_a_config_file_are_checked(tmp_path, capsys):
     for line in ("order = 0", "tol = nan"):
         conf = tmp_path / "run.conf"
         conf.write_text(line + "\n")
-        assert main(["--config", str(conf), "dubrovin", "--n", "2"]) == 2
-        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert main(["--config", str(conf), "b-check", "--n", "2", "--z", "0.1,0.4"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "must be" in err
+
+
+# commands that read neither a series order nor a tolerance, or only one
+WITHOUT_ORDER = {
+    "gram": ["--n", "2"],
+    "mutate": ["--n", "2", "--side", "left", "--pivot", "O(1)", "--target", "O(0)"],
+    "braid": ["--n", "2"],
+    "dioph-check": ["--n", "2"],
+    "qkz": ["--n", "2", "--i", "1", "--q", "0.3", "--z", "0.1,0.4"],
+    "stokes": ["--n", "2", "--sector", "vp:0"],
+    "roots-of-unity": ["--n", "2"],
+    "verify-all": ["--n", "2", "--fast"],
+    "dubrovin": ["--n", "2"],
+}
+WITHOUT_TOL = {**WITHOUT_ORDER, "formal-reduce": ["--n", "2"]}
+del WITHOUT_TOL["dubrovin"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[cmd, *rest, "--order", "3"] for cmd, rest in WITHOUT_ORDER.items()]
+    + [[cmd, *rest, "--tol", "5"] for cmd, rest in WITHOUT_TOL.items()],
+)
+def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"projqde: error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"],
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"],
+    ],
+)
+def test_overflow_at_large_q_names_q(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: numeric overflow at q = {argv[-1]}")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_overflow_warns_nothing(capsys):
+    # numpy's overflow warnings would reach stderr ahead of the one-line verdict
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"]) == 1
+        assert main(["psi", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"]) == 0
+    assert [str(w.message) for w in caught] == []
 
 
 def test_nan_residual_is_a_failure(capsys):

@@ -48,7 +48,9 @@ def z_text(n: int) -> str:
 def command_lines(draw):
     n = draw(ranks)
     N = ["--n", str(n)]
-    numeric = [*N, "--z", z_text(n), "--order", draw(orders), *draw(tols)]
+    z = ["--z", z_text(n)]
+    # --order and --tol only where the command reads them
+    series = [*z, "--order", draw(orders), *draw(tols)]
     kind = draw(
         st.sampled_from(
             ["gram", "braid", "dioph-check", "mutate", "psi", "qkz-check", "qkz", "solve-qde",
@@ -70,19 +72,22 @@ def command_lines(draw):
         side = draw(st.sampled_from(["left", "right"]))
         return ["mutate", *N, "--side", side, "--pivot", draw(classes), "--target", draw(classes)]
     if kind in ("psi", "qkz-check"):
-        return [kind, *numeric, "--q", draw(qs), "--class", draw(classes)]
+        return [kind, *N, *series, "--q", draw(qs), "--class", draw(classes)]
     if kind == "qkz":
         basis = draw(st.sampled_from(["g", "x"]))
-        return ["qkz", *numeric, "--q", draw(qs), "--i", str(draw(indices)), "--basis", basis]
+        return ["qkz", *N, *z, "--q", draw(qs), "--i", str(draw(indices)), "--basis", basis]
     if kind == "solve-qde":
-        return ["solve-qde", *numeric, "--q", draw(qs)]
+        return ["solve-qde", *N, *series, "--q", draw(qs)]
     if kind == "b-check":
-        return ["b-check", *numeric, *twist]
+        return ["b-check", *N, *series, *twist]
     if kind == "stokes":
         sector = f"{draw(st.sampled_from(['vp', 'vpp']))}:{draw(exponents)}"
         return ["stokes", *N, "--sector", sector]
     if kind == "formal-reduce":
-        return ["formal-reduce", *(numeric if draw(st.booleans()) else N), "--order", "2"]
+        order = draw(st.sampled_from(["-1", "0", "2"]))
+        return ["formal-reduce", *N, *(z if draw(st.booleans()) else []), "--order", order]
+    if kind == "dubrovin":
+        return ["dubrovin", *N, *draw(tols)]
     if kind == "verify-all":
         return ["verify-all", *N, "--fast"]
     if kind == "usage-error":
