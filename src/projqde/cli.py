@@ -360,6 +360,8 @@ def cmd_psi(args) -> dict:
     Q = parse_kclass_expr(args.cls, n)
     sol = hypergeom.psi_Q(Q, ctx, args.order)
     restr = sol.restrictions(q)
+    if not np.all(np.isfinite(restr)):
+        raise OverflowError("residue series not finite")
     report = {
         "n": n,
         "q": q,

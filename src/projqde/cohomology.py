@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .ring import (
     LaurentMatrix,
@@ -130,7 +129,9 @@ class NumericContext:
         return NumericContext(z)
 
     def gamma(self, w: complex) -> complex:
-        return complex(_gamma(complex(w)))
+        from scipy.special import gamma  # scipy loads only in the numeric commands
+
+        return complex(gamma(complex(w)))
 
 
 class CohClass:

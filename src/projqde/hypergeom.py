@@ -21,8 +21,6 @@ import math
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import loggamma
 
 from .cohomology import CohClass, NumericContext, b_morphism, vandermonde
 from .ktheory import KClass, xz_vars
@@ -191,9 +189,9 @@ def solution_qkz_residual(
 # -- contour-integral oracle -----------------------------------------------------------
 
 
-def _log_gamma_reflected(w: complex) -> complex:
-    """log Gamma with the reflection formula on the left half plane; only the
-    exponential of sums of these is used, so branch constants cancel."""
+def _log_gamma_reflected(w: complex, loggamma) -> complex:
+    """log Gamma, by `loggamma`, with the reflection formula on the left half
+    plane; only the exponential of sums of these is used, so branch constants cancel."""
     if w.real > 0.5:
         return complex(loggamma(w))
     return cmath.log(cmath.pi) - _log_sin_pi(w) - complex(loggamma(1 - w))
@@ -217,6 +215,9 @@ def contour_oracle(
 ) -> CohClass:
     """Evaluate the solution attached to Q by quadrature over the parabola
     t = p + u^2 + i u, |u| <= 9, independent of the residue series."""
+    from scipy.integrate import quad  # scipy loads only in the numeric commands
+    from scipy.special import loggamma
+
     n = ctx.n
     z = [complex(w) for w in ctx.z]
     if Q.vars != xz_vars(n):
@@ -238,7 +239,7 @@ def contour_oracle(
         def integrand(u: float, i=i):
             t = p + u * u + 1j * u
             total = 0j
-            lg = head + sum(_log_gamma_reflected(za - t) for za in z)
+            lg = head + sum(_log_gamma_reflected(za - t, loggamma) for za in z)
             for e, c in Q.terms.items():
                 m = e[xi]
                 expo = lg + t * (base + 2j * cmath.pi * m)

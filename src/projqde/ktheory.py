@@ -26,8 +26,8 @@ Arithmetic that mixes E and Z, or two characters, expands E in Z.  The
 defining relation prod_j (X - Z_j) = sum_k (-1)^k e_k X^{n-k} has its
 coefficients in R(GL_n), so every O(i) has coordinates there.  Gram matrices
 and the Diophantine checks stay in the ring of the basis; coordinates in the
-monomial basis X^0..X^{n-1} (JSON, cohomology) and the values of `chi_pair`
-are expanded in Z, and so is what the CLI prints.
+monomial basis X^0..X^{n-1} (`coeffs`, `to_laurent`) and the values of
+`chi_pair` are expanded in Z, and so is what the CLI prints.
 
 On top of the algebra: the sesquilinear Euler pairing chi, Gram matrices,
 left/right mutations, the braid-group action on exceptional bases, dual bases,
@@ -146,7 +146,7 @@ def _h_dual(vs: tuple[str, ...], k: int) -> LaurentPoly:
     """h_k(Z^{-1}) = chi(O(a), O(a+k)) in the ring with variables vs."""
     n = len(vs)
     if vs == zvars(n):
-        return sym_poly("complete", k, n).dual()
+        return to_z(_h_dual(evars(n), k), n)
     if k == 0:
         return LaurentPoly.one(vs)
     # h_k = sum_{i=1..min(k,n)} (-1)^{i-1} e_i h_{k-i}, taken at Z^{-1}
@@ -162,48 +162,33 @@ class KClass:
     nonzero only over E1..En and on a nonzero class, with smallest exponent 0.
     The form is unique (Z^d s, s symmetric, is symmetric only for d in Z(1,..,1))
     and mutation keeps it: L_{Z^a e}(Z^b f) = Z^b L_e f.  The constructor takes
-    Laurent coordinates in Z in the monomial basis X^0..X^{n-1}, as `coeffs` gives.
+    the coordinates and the character and brings them to this form; a Laurent
+    polynomial in (X, Z1..Zn) comes in through `kclass_from_laurent`.
     """
 
     __slots__ = ("n", "_co", "_char")
 
-    def __init__(self, n: int, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != n:
-            raise ValueError(f"need {n} coordinates, got {len(coeffs)}")
-        vs = zvars(n)
-        for c in coeffs:
-            if c.vars != vs:
-                raise ValueError("KClass coordinates must live in Z1..Zn")
-        # X^j is the class of O(-j)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_co", _expand(vs, [(c, -j) for j, c in enumerate(coeffs)]))
-        object.__setattr__(self, "_char", (0,) * n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KClass is immutable")
-
-    @classmethod
-    def _of(cls, co, char=None) -> "KClass":
+    def __init__(self, co, char=None):
         """The class Z^char sum_a co_a O(a), in normal form."""
         co = tuple(co)
         char = (0,) * len(co) if char is None or any(char) and all(c.is_zero() for c in co) else char
         if m := min(char):  # e_n^m moves into the coordinates
             co, char = tuple(c * _en_power(len(co), m) for c in co), tuple(a - m for a in char)
-        self = object.__new__(cls)
         object.__setattr__(self, "n", len(co))
         object.__setattr__(self, "_co", co)
         object.__setattr__(self, "_char", char)
-        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("KClass is immutable")
 
     @classmethod
     def zero(cls, n: int) -> "KClass":
-        return cls._of([LaurentPoly.zero(evars(n))] * n)
+        return cls([LaurentPoly.zero(evars(n))] * n)
 
     @classmethod
     def x_power(cls, n: int, m: int) -> "KClass":
         """X^m, i.e. the class of O(-m)."""
-        return cls._of(_o_power_coords(evars(n), -m))
+        return cls(_o_power_coords(evars(n), -m))
 
     @classmethod
     def line_bundle(cls, n: int, i: int) -> "KClass":
@@ -224,7 +209,7 @@ class KClass:
         """The same class with its coefficients expanded in Z1..Zn."""
         if self._co[0].vars == zvars(self.n):
             return self
-        return KClass._of(_z_times(c, (0,) * self.n, self._char) for c in self._co)
+        return KClass(_z_times(c, (0,) * self.n, self._char) for c in self._co)
 
     def _common(self, other: "KClass") -> tuple["KClass", "KClass"]:
         """Both classes over one ring with one character, else both in Z."""
@@ -235,26 +220,26 @@ class KClass:
 
     def __add__(self, other: "KClass") -> "KClass":
         f, g = self._common(other)
-        return KClass._of((a + b for a, b in zip(f._co, g._co)), f._char)
+        return KClass((a + b for a, b in zip(f._co, g._co)), f._char)
 
     def __sub__(self, other: "KClass") -> "KClass":
         f, g = self._common(other)
-        return KClass._of((a - b for a, b in zip(f._co, g._co)), f._char)
+        return KClass((a - b for a, b in zip(f._co, g._co)), f._char)
 
     def __neg__(self) -> "KClass":
-        return KClass._of((-a for a in self._co), self._char)
+        return KClass((-a for a in self._co), self._char)
 
     def scale(self, rho: LaurentPoly) -> "KClass":
         """Multiply by a scalar over the coordinates' ring, by one Z-term c Z^a (added to the
         character of coordinates over E1..En) or by another polynomial in Z1..Zn (expands in Z)."""
         vs = self._co[0].vars
         if rho.vars == vs:
-            return KClass._of((c * rho for c in self._co), self._char)
+            return KClass((c * rho for c in self._co), self._char)
         if rho.vars == zvars(self.n) != vs and rho.is_unit_monomial():
             ((a, c),) = rho.terms.items()
-            return KClass._of((x * c for x in self._co), tuple(map(add, self._char, a)))
+            return KClass((x * c for x in self._co), tuple(map(add, self._char, a)))
         f, rho = self._in_z(), to_z(rho, self.n)
-        return KClass._of(c * rho for c in f._co)
+        return KClass(c * rho for c in f._co)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KClass):
@@ -294,18 +279,14 @@ class KClass:
         """Product in the algebra: O(a) O(b) = O(a+b), characters multiplied."""
         f, g = _one_ring([self, other])
         terms = [(a * b, i + j) for i, a in enumerate(f._co) for j, b in enumerate(g._co)]
-        return KClass._of(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
+        return KClass(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
 
     def twist(self, m: int) -> "KClass":
         """Multiply by X^m (tensor with O(-m)): O(a) -> O(a-m)."""
-        return KClass._of(_expand(self._co[0].vars, [(c, a - m) for a, c in enumerate(self._co)]), self._char)
+        return KClass(_expand(self._co[0].vars, [(c, a - m) for a, c in enumerate(self._co)]), self._char)
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [c.to_json() for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "KClass":
-        return cls(data["n"], [LaurentPoly.from_json(c) for c in data["coeffs"]])
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -317,7 +298,7 @@ def kclass_from_laurent(f: LaurentPoly, n: int) -> KClass:
     """Reduce a Laurent polynomial in (X, Z1..Zn) to a class over Z1..Zn."""
     if f.vars != xz_vars(n):
         f = f.with_vars(xz_vars(n))
-    return KClass._of(_expand(zvars(n), [(c, -m) for m, c in f.as_series("X").items()]))
+    return KClass(_expand(zvars(n), [(c, -m) for m, c in f.as_series("X").items()]))
 
 
 def serre_twist(e: KClass) -> KClass:
@@ -467,7 +448,7 @@ def _mutation(side: str, e: KClass, ecols, f: KClass, fcols):
     def minus(xs, ys, s):  # x - y s for each pair (x, y), summed into one dict each
         return tuple(LaurentPoly.sum_of_products(c.vars, ((x, one), (y, -s))) for x, y in zip(xs, ys))
 
-    return KClass._of(minus(f._co, e._co, c), f._char), fcols and minus(fcols, ecols, c.dual())
+    return KClass(minus(f._co, e._co, c), f._char), fcols and minus(fcols, ecols, c.dual())
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
@@ -717,7 +698,7 @@ def exterior_tangent_class(h: int, twist: int, n: int) -> KClass:
         raise ValueError(f"exterior power {h} out of range 0..{n - 1}")
     # X^{twist-j} is the class of O(j-twist)
     terms = [(_e(n, j) * (-1) ** (h - j), j - twist) for j in range(h + 1)]
-    return KClass._of(_expand(evars(n), terms))
+    return KClass(_expand(evars(n), terms))
 
 
 def _structured_slots(kind: str, k: int, n: int) -> list[tuple[int, int]]:

@@ -10,7 +10,6 @@ identities are verified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import matmul
 from typing import Callable, Sequence
@@ -124,20 +123,6 @@ def qkz_inverse_product_symbolic(i: int, n: int) -> LaurentMatrix:
     factors.append(_slot_matrix(i, n, q))
     factors += [r_matrix(j, i, z[j - 1] - z[i - 1], n) for j in range(1, i)]
     return reduce(matmul, factors)
-
-
-@dataclass(frozen=True)
-class QkzOperator:
-    """A shift operator pinned to a basis; products refuse mixed bases."""
-
-    i: int
-    basis: str
-    matrix: object
-
-    def __matmul__(self, other: "QkzOperator") -> "QkzOperator":
-        if self.basis != other.basis:
-            raise ValueError("refusing to multiply operators in different bases")
-        return QkzOperator(self.i, self.basis, self.matrix @ other.matrix)
 
 
 def difference_residual(

@@ -481,13 +481,6 @@ class LaurentPoly:
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls(
-            tuple(data["vars"]),
-            {tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"])) for t in data["terms"]},
-        )
-
     def __str__(self) -> str:
         if not self._t:
             return "0"
@@ -521,7 +514,8 @@ def unit_pow(p: LaurentPoly, k: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def sym_poly(kind: str, k: int, n: int, prefix: str = "Z") -> LaurentPoly:
-    """Elementary (s_k) or complete (m_k) symmetric function in n variables.
+    """Elementary (s_k) or complete (m_k) symmetric function in n variables,
+    by `elementary_symmetric` or `complete_symmetric` on the variables.
 
     s_0 = m_0 = 1; elementary requires k <= n.
     """
@@ -531,11 +525,12 @@ def sym_poly(kind: str, k: int, n: int, prefix: str = "Z") -> LaurentPoly:
     if kind == "elementary":
         if k > n:
             raise ValueError(f"elementary symmetric function needs k <= n, got k={k}, n={n}")
-        subsets = combinations(range(n), k)
-        return LaurentPoly(vs, ((tuple(int(i in s) for i in range(n)), 1) for s in subsets))
-    if kind == "complete":
-        return LaurentPoly(vs, ((e, 1) for e in _compositions(k, n)))
-    raise ValueError(f"unknown kind {kind!r} (use 'elementary' or 'complete')")
+        fn = elementary_symmetric
+    elif kind == "complete":
+        fn = complete_symmetric
+    else:
+        raise ValueError(f"unknown kind {kind!r} (use 'elementary' or 'complete')")
+    return LaurentPoly.zero(vs) + fn([LaurentPoly.variable(vs, v) for v in vs], k)  # an int at k = 0
 
 
 def elementary_symmetric(vals: Sequence, k: int):
@@ -562,15 +557,6 @@ def complete_symmetric(vals: Sequence, k: int):
         for j in range(1, k + 1):
             h[j] = h[j] + v * h[j - 1]
     return h[k]
-
-
-def _compositions(k: int, n: int) -> Iterable[tuple[int, ...]]:
-    if n == 1:
-        yield (k,)
-        return
-    for first in range(k + 1):
-        for rest in _compositions(k - first, n - 1):
-            yield (first,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -950,7 +936,3 @@ def reduce_root_of_unity(p: LaurentPoly, name: str, order: int) -> LaurentPoly:
             nk = k + ((j - e) << s)  # slot s/_W set to j
             out[nk] = out.get(nk, 0) + c * cj
     return LaurentPoly._raw(p.vars, {k: _norm_coeff(c) for k, c in out.items() if c}, max(p._b, order))
-
-
-def vanishes_at_root_of_unity(p: LaurentPoly, name: str, order: int) -> bool:
-    return reduce_root_of_unity(p, name, order).is_zero()

@@ -42,6 +42,7 @@ import numpy as np
 from .cohomology import SELF_CHECK_ATOL, NumericContext, as_matrix, cohom_vars
 from .ktheory import (
     ExceptionalBasis,
+    beilinson_basis,
     braid_act,
     braid_constants,
     dioph_residual,
@@ -56,9 +57,11 @@ from .ring import (
     LaurentMatrix,
     LaurentPoly,
     char_poly,
+    complete_symmetric,
     elementary_symmetric,
     evars,
     reduce_root_of_unity,
+    stirling,
     sym_poly,
 )
 
@@ -519,17 +522,12 @@ def scalar_collapse_residual(n: int) -> LaurentPoly:
 def stirling_value_checks(n: int) -> bool:
     """s_k(0, 1/n, .., (n-1)/n) = [n, n-k]/n^k and the analogous complete-sum
     identity with second-kind numbers."""
-    from .ring import stirling
-
     zo = root_of_unity_point(n)
     for k in range(1, n + 1):
         if elementary_symmetric(list(zo), k) != Fraction(stirling("first", n, n - k), n**k):
             return False
     for k in range(1, 5):
-        p = sym_poly("complete", k, n)
-        for i in range(1, n + 1):
-            p = p.specialize(f"Z{i}", zo[i - 1])
-        if p.constant_value() != Fraction(stirling("second", n + k - 1, n - 1), n**k):
+        if complete_symmetric(zo, k) != Fraction(stirling("second", n + k - 1, n - 1), n**k):
             return False
     return True
 
@@ -556,8 +554,6 @@ def stokes_trivial_at_unity(sector: SectorId, n: int) -> bool:
 def gram_orthonormal_at_unity(n: int) -> bool:
     """The Gram matrix of the consecutive line-bundle basis specializes to the
     identity (orthonormality of exceptional bases at the degenerate point)."""
-    from .ktheory import beilinson_basis
-
     return _identity_at_unity(gram_matrix(beilinson_basis(n)), n)
 
 

@@ -1,10 +1,15 @@
 """Command-line front end: dispatch, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import projqde
 from projqde import qde
 from projqde.cli import main, parse_kclass_expr, parse_sector, parse_z
 from projqde.ring import LaurentPoly
@@ -208,6 +213,7 @@ def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     [
         ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"],
         ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"],
+        ["psi", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"],  # NaN restrictions
     ],
 )
 def test_overflow_at_large_q_names_q(capsys, argv):
@@ -225,6 +231,14 @@ def test_overflow_warns_nothing(capsys):
         assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"]) == 1
         main(["psi", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"])
     assert [str(w.message) for w in caught] == []
+
+
+def test_exact_commands_load_no_scipy():
+    # a fresh process, so that no earlier test has imported scipy
+    code = "import sys; from projqde.cli import main; rc = main(['gram', '--n', '2']); print(rc, 'scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(projqde.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 def test_nan_residual_is_a_failure(capsys):

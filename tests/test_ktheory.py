@@ -42,15 +42,13 @@ def line(n, i):
 
 
 def rand_kclass(rng, n, span=1):
-    vs = zvars(n)
-    coeffs = []
-    for _ in range(n):
-        terms = {}
+    """A class over Z1..Zn with two random Laurent terms on each power X^0..X^{n-1}."""
+    terms = {}
+    for j in range(n):
         for _ in range(2):
             e = tuple(rng.randint(-span, span) for _ in range(n))
-            terms[e] = Fraction(rng.randint(-3, 3))
-        coeffs.append(LaurentPoly(vs, terms))
-    return KClass(n, coeffs)
+            terms[(j,) + e] = Fraction(rng.randint(-3, 3))
+    return kclass_from_laurent(LaurentPoly(xz_vars(n), terms), n)
 
 
 # -- normal form -------------------------------------------------------------
@@ -331,7 +329,7 @@ def test_torus_characters_are_units(case, a, m):
     for f in _scaled(basis, chars).elements:
         assert f.scale(za).scale(zinv) == f
         assert f.scale(LaurentPoly.monomial(vs, (m,) * n)) == f.scale(en)
-        classes += [f, f.scale(za), f._in_z(), f.scale(en), KClass(n, f.coeffs), f + f.scale(za), f - f]
+        classes += [f, f.scale(za), f._in_z(), f.scale(en), kclass_from_laurent(f.to_laurent(), n), f + f.scale(za), f - f]
     coeffs = [f.coeffs for f in classes]
     for f, cf in zip(classes, coeffs):
         for g, cg in zip(classes, coeffs):
@@ -898,18 +896,33 @@ def test_alternating_products_act_as_half_twist(n):
 
 
 def test_kclass_json_roundtrip():
+    # the printed form of a class (`coeffs`, as `to_json` writes it) read back
+    # through its Laurent polynomial in (X, Z1..Zn)
     rng = random.Random(2)
     f = rand_kclass(rng, 3)
-    assert KClass.from_json(f.to_json()) == f
-    # a class built over the representation ring is loaded back over Z and
+    assert kclass_from_laurent(f.to_laurent(), 3) == f
+    # a class built over the representation ring is read back over Z and
     # must compare equal to the original, and unequal to a different class
     n = 4
     for g in (line(n, -3), structured_basis("Qppt", 1, n).elements[2]):
-        back = KClass.from_json(g.to_json())
+        back = kclass_from_laurent(g.to_laurent(), n)
         assert g.ring == evars(n) and back.ring == zvars(n)
         assert back == g and g == back
         assert back != line(n, 0) and line(n, 0) != back
         assert back.to_json() == g.to_json()
+
+
+def test_laurent_form_reads_back_every_storage_form():
+    rng = random.Random(5)
+    for n in (2, 3, 4):
+        e_form = structured_basis("Qpp", 1, n).elements[-1]
+        scaled = e_form.scale(LaurentPoly.monomial(zvars(n), (1,) + (0,) * (n - 1)))
+        z_form = rand_kclass(rng, n)
+        assert e_form.ring == evars(n) and not any(e_form._char)
+        assert scaled._co[0].vars == evars(n) and any(scaled._char)
+        assert z_form.ring == zvars(n)
+        for f in (e_form, scaled, z_form):
+            assert kclass_from_laurent(f.to_laurent(), n) == f, (n, f)
 
 
 def test_to_z_rejects_negative_powers_below_e_n():

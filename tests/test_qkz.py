@@ -7,7 +7,6 @@ import pytest
 from projqde.cohomology import NumericContext
 from projqde.qde import levelt_series
 from projqde.qkz import (
-    QkzOperator,
     difference_residual,
     formal_derivative,
     qde_compat_residual,
@@ -90,14 +89,6 @@ def test_inverse_shift_product_form():
             k_up = shift_matrix(k, f"z{i}", +1)
             prod = k_up * qkz_inverse_product_symbolic(i, n)
             assert prod == LaurentMatrix.identity(n, qkz_vars(n)), (n, i)
-
-
-def test_mixed_basis_products_refused():
-    n = 2
-    a = QkzOperator(1, "g", qkz_operator_symbolic(1, n, "g"))
-    b = QkzOperator(2, "x", qkz_operator_symbolic(2, n, "x"))
-    with pytest.raises(ValueError):
-        a @ b
 
 
 @pytest.mark.parametrize("n", [2, 3])
