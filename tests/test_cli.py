@@ -235,7 +235,7 @@ def test_overflow_warns_nothing(capsys):
 
 def test_exact_commands_load_no_scipy():
     # a fresh process, so that no earlier test has imported scipy
-    code = "import sys; from projqde.cli import main; rc = main(['gram', '--n', '2']); print(rc, 'scipy' in sys.modules)"
+    code = "import sys; from projqde.cli import main; print(main(['gram', '--n', '2']), 'scipy' in sys.modules)"
     env = dict(os.environ, PYTHONPATH=str(Path(projqde.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True).stdout
     assert out.splitlines()[-1] == "0 False"
