@@ -95,6 +95,13 @@ class SolutionSeries:
                 break
         return out
 
+    def converged(self, q: complex) -> bool:
+        """Whether the last two terms at q have ratio below 1/2: past the cut-off
+        the ratio only falls (divisors grow like r^n, numerators like r^(n-1)),
+        so the tail of the sum is then at most its last term."""
+        last = np.max(np.abs(self._nums[-2:]), axis=1)
+        return bool(abs(q) * last[1] < 0.5 * abs(self._divs[-1]) * last[0])
+
     def _head(self, q: complex, log_q: complex | None) -> complex:
         lq = cmath.log(q) if log_q is None else log_q
         return self.prefactor * cmath.exp(self.exponent * (lq - 1j * cmath.pi * self.n))

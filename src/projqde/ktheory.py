@@ -39,6 +39,7 @@ tangent bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 
@@ -584,11 +585,6 @@ def dual_basis(side: str, basis: ExceptionalBasis) -> ExceptionalBasis:
 # -- canonical operator and Diophantine constraints ----------------------------------
 
 
-def canonical_matrix(gram: LaurentMatrix) -> LaurentMatrix:
-    """Matrix of the canonical (Serre) operator wrt the basis: G^{-1} G†."""
-    return gram.inverse() * gram.dagger()
-
-
 def canonical_char_poly(gram: LaurentMatrix, n: int) -> LaurentPoly:
     """det(lambda - G^{-1} G†) as a Laurent polynomial in (LAM,) + the ring of
     the rank-n Gram matrix G, computed as det(lambda G - G†) / det G."""
@@ -597,13 +593,20 @@ def canonical_char_poly(gram: LaurentMatrix, n: int) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def _power_elementary(n: int) -> tuple[LaurentPoly, ...]:
-    """e_j(Z_1^n, ..., Z_n^n) for j = 0..n over E1..En: (-1)^j times the
-    coefficient of lambda^{n-j} in det(lambda - T), T the matrix of X^n
-    (`KClass.twist(n)`) on O(0)..O(n-1), whose eigenvalues are the Z_i^n."""
-    vs = evars(n)
-    t = LaurentMatrix([list(row) for row in zip(*(_o_power_coords(vs, b - n) for b in range(n)))])
-    cp = char_poly(LaurentMatrix.identity(n, vs), t)
-    return tuple(cp.coefficient(LAMBDA, n - j) * (-1) ** j for j in range(n + 1))
+    """e_j(Z_1^n, ..., Z_n^n) for j = 0..n over E1..En, by Newton's identities:
+    the power sums p_m(Z) from the Ek up to m = n floor(n/2), then
+    j e_j(Z^n) = sum_{i=1..j} (-1)^{i-1} e_{j-i}(Z^n) p_{in}(Z) for j <= n/2,
+    and the upper half by duality, e_j(Z^n) = e_n^n e_{n-j}(Z^n)^*."""
+    vs, half, p = evars(n), n // 2, [None]
+    for m in range(1, n * half + 1):  # p_m = sum_{i<m} (-1)^{i-1} e_i p_{m-i} + (-1)^{m-1} m e_m
+        pairs = ((_e(n, i) * (-1) ** (i - 1), p[m - i] if i < m else LaurentPoly.constant(vs, m))
+                 for i in range(1, min(m, n) + 1))
+        p.append(LaurentPoly.sum_of_products(vs, pairs))
+    out = [LaurentPoly.one(vs)]
+    for j in range(1, half + 1):
+        pairs = ((out[j - i] * (-1) ** (i - 1), p[i * n]) for i in range(1, j + 1))
+        out.append(LaurentPoly.sum_of_products(vs, pairs) * Fraction(1, j))
+    return tuple(out + [_en_power(n, n) * out[n - j].dual() for j in range(half + 1, n + 1)])
 
 
 def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:

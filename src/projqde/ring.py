@@ -379,9 +379,6 @@ class LaurentPoly:
         tm = {sum(x << s for s, x in zip(shifts, e)): c for e, c in self._decoded()}
         return LaurentPoly._raw(vs, tm, self._b)
 
-    def rename_vars(self, mapping: Mapping[str, str]) -> "LaurentPoly":
-        return LaurentPoly(tuple(mapping.get(v, v) for v in self.vars), self.terms)
-
     def drop_vars(self, names: Iterable[str]) -> "LaurentPoly":
         """Remove variables that appear with exponent 0 in every term."""
         drop = set(names)

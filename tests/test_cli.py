@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import projqde
-from projqde import qde
+from projqde import qde, stokes
 from projqde.cli import main, parse_kclass_expr, parse_sector, parse_z
 from projqde.ring import LaurentPoly
 from projqde.ktheory import xz_vars
@@ -105,6 +105,25 @@ def test_verify_all_fast(capsys):
     code, out = run(capsys, "verify-all", "--n", "2", "--fast")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_all_fails_on_any_stokes_verdict(capsys, monkeypatch):
+    # every verdict of gram_stokes_check counts, not only the two it prints
+    real = stokes.gram_stokes_check
+    monkeypatch.setattr(stokes, "gram_stokes_check", lambda *a: {**real(*a), "formal_monodromy": False})
+    assert main(["verify-all", "--n", "2", "--fast"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "FAILED: verification failed: stokes_gram\n")
+
+
+@pytest.mark.parametrize("order", ["40", "120"])
+def test_psi_refuses_an_unconverged_series(capsys, order):
+    # at q = 1e4 the terms q^d/(d!)^2 still grow at the cut-off
+    argv = ["psi", "--n", "2", "--z", "0.1,0.4", "--q", "1e4", "--order", order]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: residue series not converged at q = 1e4 by --order {order}\n")
+    assert main(argv[:-1] + ["400"]) == 0
 
 
 def test_bad_usage_exit_2(capsys):

@@ -16,7 +16,6 @@ from projqde.ktheory import (
     braid_act,
     braid_constants,
     canonical_char_poly,
-    canonical_matrix,
     chi_pair,
     dioph_residual,
     dual_basis,
@@ -33,8 +32,8 @@ from projqde.ktheory import (
     xz_vars,
 )
 from projqde import ktheory
-from projqde.ktheory import _chi, _h_dual, _power_elementary
-from projqde.ring import LaurentMatrix, LaurentPoly, RationalFn, sym_poly, zvars
+from projqde.ktheory import _chi, _h_dual, _o_power_coords, _power_elementary
+from projqde.ring import LAMBDA, LaurentMatrix, LaurentPoly, RationalFn, char_poly, sym_poly, zvars
 
 
 def line(n, i):
@@ -659,6 +658,11 @@ def test_serre_is_double_dual_and_coxeter_power(n):
 # -- canonical operator and Diophantine constraints --------------------------------
 
 
+def canonical_matrix(gram):
+    """Matrix of the canonical (Serre) operator wrt the basis: G^{-1} G†."""
+    return gram.inverse() * gram.dagger()
+
+
 def test_canonical_matrix_identity():
     ident = LaurentMatrix.identity(3, zvars(3))
     assert canonical_matrix(ident) == ident
@@ -703,6 +707,23 @@ def test_power_targets_expand_to_the_z_formula(n):
     for j, ej in enumerate(_power_elementary(n)):
         want = sym_poly("elementary", j, n).terms
         assert to_z(ej, n) == LaurentPoly(zvars(n), {tuple(x * n for x in e): c for e, c in want.items()})
+
+
+def _power_elementary_laplace(n):
+    """Reference: (-1)^j times the coefficient of lambda^{n-j} in det(lambda - T),
+    T the matrix of X^n on O(0)..O(n-1), whose eigenvalues are the Z_i^n."""
+    vs = evars(n)
+    t = LaurentMatrix([list(row) for row in zip(*(_o_power_coords(vs, b - n) for b in range(n)))])
+    cp = char_poly(LaurentMatrix.identity(n, vs), t)
+    return tuple(cp.coefficient(LAMBDA, n - j) * (-1) ** j for j in range(n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_power_targets_match_the_laplace_form(n):
+    # Newton's identities against the characteristic polynomial of X^n
+    got, want = _power_elementary(n), _power_elementary_laplace(n)
+    assert [p.vars for p in got] == [evars(n)] * (n + 1)
+    assert [p.to_json() for p in got] == [p.to_json() for p in want]
 
 
 def test_dioph_residual_on_a_torus_gram_matrix():

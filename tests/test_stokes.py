@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from projqde.cohomology import NumericContext
+from projqde import stokes
+from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import QSolution, scaled_element_asymptotic_ratio
 from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix, to_z
 from projqde.qde import BranchContext
@@ -20,7 +21,9 @@ from projqde.stokes import (
     FormalSolution,
     SectorId,
     _at_unity_roots,
+    _evaluate,
     _formal_monodromy_char_residual,
+    _rk4_linear,
     antisymmetric_v_exact,
     dubrovin_bridge,
     e_matrix,
@@ -347,7 +350,7 @@ def test_stokes_entries_symmetric_in_parameters():
         for a in range(n):
             for b in range(n):
                 p = to_z(m[a, b], n)
-                q = p.rename_vars(perm).with_vars(p.vars)
+                q = LaurentPoly(tuple(perm[v] for v in p.vars), p.terms).with_vars(p.vars)
                 assert q == p
 
 
@@ -430,8 +433,46 @@ def test_v_antisymmetric_exact(n):
     assert antisymmetric_v_exact(n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_dubrovin_bridge_residual(n):
     rep = dubrovin_bridge(n)
     assert rep["antisymmetry"] < 1e-14
     assert rep["residual"] < 1e-8
+
+
+def _rk4_reference(b0, b1, s0, h, steps):
+    """Reference: classical RK4 one step at a time, four right-hand sides per step."""
+    ts = [np.eye(len(b0), dtype=complex)]
+    t, s = ts[0], s0
+
+    def rhs(s, t):
+        return (b0 + b1 / s) @ t
+
+    for _ in range(steps):
+        k1 = rhs(s, t)
+        k2 = rhs(s + h / 2, t + h / 2 * k1)
+        k3 = rhs(s + h / 2, t + h / 2 * k2)
+        k4 = rhs(s + h, t + h * k3)
+        t = t + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        s += h
+        ts.append(t)
+    return ts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_rk4_step_matrices_match_the_stepwise_loop(n):
+    # the ten points the five-point stencil reads at lambda = 1.4 and 2.1
+    b0, b1 = (_evaluate(b, dict.fromkeys(cohom_vars(n), 0)) for b in shear_coeffs(n)[:2])
+    got = _rk4_linear(b0, b1, 1.0, 1e-3, 1102)
+    want = _rk4_reference(b0, b1, 1.0, 1e-3, 1102)
+    assert len(got) == len(want) == 1103
+    for idx in [*range(398, 403), *range(1098, 1103)]:
+        assert np.linalg.norm(got[idx] - want[idx]) <= 1e-12 * np.linalg.norm(want[idx])
+
+
+def test_dubrovin_bridge_fails_on_a_wrong_e(monkeypatch):
+    # negative control: E with two columns swapped no longer carries T to Y
+    e, einv = e_matrix(3)
+    swap = [1, 0, 2]
+    monkeypatch.setattr(stokes, "e_matrix", lambda n: (e[:, swap], einv[swap, :]))
+    assert dubrovin_bridge(3)["residual"] > 1e-6
