@@ -19,11 +19,12 @@ and the conjugates hat A_j = E B_j E^{-1} are exact, over the variables
 is reduced modulo the cyclotomic polynomial Phi_2n(W) as soon as it is
 formed.  Their numeric forms (`e_matrix`, the hat A_j of
 `formal_reduce_numeric`, the B_0 and B_1 of `dubrovin_bridge`) are these
-matrices evaluated at W = e^{i pi/n} and at z.  The bridge integrates its
-linear system by RK4 step matrices P_k, T_{k+1} = P_k T_k, built in batches.  The formal gauge recursion and
-its order-by-order residual run over the field of their input: Laurent
-polynomials in (W, z1, z2), reduced modulo Phi_4(W) after each step, for the
-exact rank-2 reduction, and complex numbers at any rank.  Stokes and Gram
+matrices evaluated at W = e^{i pi/n} and at z; the bridge integrates its
+linear system by RK4 step matrices P_k, T_{k+1} = P_k T_k, built in batches.
+The formal gauge recursion and its order-by-order residual run over the field
+of their input: Laurent polynomials in (W, z1, z2), reduced modulo Phi_4(W)
+after each step, for the exact rank-2 reduction, and complex numbers at any
+rank.  Stokes and Gram
 matrices and the identities between them are exact over R(GL_n), in E1..En
 with Ek = e_k(Z), where the Stokes bases have their line-bundle coordinates;
 the CLI expands them in Z1..Zn only to print them.
