@@ -317,6 +317,8 @@ def cmd_solve_qde(args) -> dict:
     else:
         sol = qde.topological_series(n, z, args.order)
     res = qde.ode_residual(sol, q, n, [complex(w) for w in z])
+    if not sol.converged(q):
+        raise ValueError(f"qDE series not converged at q = {args.q} by --order {args.order}")
     report = {
         "n": n,
         "solution": args.solution,
@@ -347,6 +349,8 @@ def cmd_qkz_check(args) -> dict:
         residuals[f"shift_{i}"] = hypergeom.solution_qkz_residual(Q, i, q, ctx, args.order)
     sol = hypergeom.psi_Q(Q, ctx, args.order)
     residuals["ode"] = hypergeom.solution_ode_residual(sol, q)
+    if not all(s.converged(q) for s in sol.series):
+        raise ValueError(f"residue series not converged at q = {args.q} by --order {args.order}")
     bad = [v for v in residuals.values() if not v <= args.tol]
     if bad:
         raise MathFailure(f"difference residual {max(bad)} above tolerance {args.tol}")

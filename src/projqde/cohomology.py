@@ -12,7 +12,9 @@ variables z1..zn (Laurent polynomials, rational functions where a formula
 divides) when z is omitted.  `parameters` reads the field off the input and
 `as_matrix` picks the container of a result: LaurentMatrix over Laurent
 polynomials, a complex ndarray over complex numbers, an object ndarray over
-Fractions and rational functions.
+Fractions and rational functions.  The numeric solutions of `qde` feed
+their recursions complex z even when z is rational; only their D and D^{-1},
+ill-conditioned at high rank, stay over the field of z and are rounded once.
 """
 
 from __future__ import annotations
@@ -243,17 +245,6 @@ def eta_gram(n: int, z: Sequence | None = None):
     z = parameters(n, z)
     return as_matrix(
         [[complete_symmetric(z, a + b - n + 1) for b in range(n)] for a in range(n)], z[0]
-    )
-
-
-def eta_pair(u: CohClass, v: CohClass, z: Sequence):
-    """Poincare pairing via the fixed-point sum with weights 1/prod(z_i - z_j)."""
-    n = u.n
-    return sum(
-        u.restrictions[i]
-        * v.restrictions[i]
-        / math.prod(z[i] - z[j] for j in range(n) if j != i)
-        for i in range(n)
     )
 
 

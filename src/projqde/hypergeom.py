@@ -24,7 +24,7 @@ import numpy as np
 
 from .cohomology import CohClass, NumericContext, b_morphism, vandermonde
 from .ktheory import KClass, xz_vars
-from .qde import BranchContext, ode_residual, topological_series
+from .qde import BranchContext, ode_residual, series_converged, topological_series
 from .qkz import difference_residual
 from .ring import LaurentPoly
 
@@ -62,6 +62,8 @@ class SolutionSeries:
         self.exponent = complex(zj)
         self._nums = nums
         self._divs = divs
+        # per term of `_sum`: the divisor as a Python complex, the row peak
+        self._steps = list(zip([0j] + divs.tolist(), np.max(np.abs(nums), axis=1).tolist()))
         self._c0 = 1.0 / complex(np.prod(factors[0, cols]))
         self._sign = float((-1) ** (n + 1))
         gamma_prod = 1.0 + 0j
@@ -81,26 +83,26 @@ class SolutionSeries:
     def _sum(self, q: complex, extra_power: float) -> np.ndarray:
         """sum_r (exponent + r)^extra * term_r(q), term-recursively for
         numerical stability at large |q|."""
-        out = np.zeros(self.n, dtype=complex)
         v = self._c0
+        sq = self._sign * complex(q)
         peak = 0.0
-        for r in range(self.order + 1):
+        ws = []
+        for r, (d, top) in enumerate(self._steps):
             if r > 0:
-                v = v * (self._sign * q) / self._divs[r - 1]
-            w = v if extra_power == 0 else v * (self.exponent + r)
-            out += w * self._nums[r]
-            mag = abs(v) * float(np.max(np.abs(self._nums[r])))
+                v = v * sq / d
+            ws.append(v if extra_power == 0 else v * (self.exponent + r))
+            mag = abs(v) * top
             peak = max(peak, mag)
             if r > 8 and mag < 1e-22 * peak:
                 break
-        return out
+        return np.array(ws) @ self._nums[: len(ws)]
 
     def converged(self, q: complex) -> bool:
         """Whether the last two terms at q have ratio below 1/2: past the cut-off
         the ratio only falls (divisors grow like r^n, numerators like r^(n-1)),
         so the tail of the sum is then at most its last term."""
         last = np.max(np.abs(self._nums[-2:]), axis=1)
-        return bool(abs(q) * last[1] < 0.5 * abs(self._divs[-1]) * last[0])
+        return series_converged(q, abs(self._divs[-1]) * last[0], last[1])
 
     def _head(self, q: complex, log_q: complex | None) -> complex:
         lq = cmath.log(q) if log_q is None else log_q
@@ -273,16 +275,6 @@ def contour_oracle(
 
 def _adaptive_order(n: int, abs_q: float) -> int:
     return max(60, int(4 * n * abs_q ** (1.0 / n)) + 40)
-
-
-def asymptotic_ratio(m: int, r: float, branch: BranchContext, ctx: NumericContext) -> complex:
-    """Ratio of the X^m solution (weights Z_J^m on the residue series) to its
-    predicted leading behaviour, the scaled-element ratio with tag m;
-    approaches 1 for phi inside (m/n - 1, m/n)."""
-    n = ctx.n
-    if not (m / n - 1 < branch.phi < m / n):
-        raise ValueError("phi outside the admissible window for this exponent")
-    return scaled_element_asymptotic_ratio([w**m for w in _char_values(ctx)], m, r, branch, ctx)
 
 
 def scaled_element_asymptotic_ratio(

@@ -6,7 +6,8 @@ topological-enumerative solution built from the scalar series a_j.
 The system matrices and the coefficient recursions are written once, over
 the scalar field of z (see `cohomology`): Fractions for rational z, complex
 numbers for numeric z, rational functions in z1..zn when z is omitted.  The
-evaluators turn the coefficients into complex matrices.
+evaluators feed the recursions complex z even when z is rational (products
+and quotients, with no cancellation); only D and D^{-1} stay over its field.
 
 Every solution object (`LeveltSolution`, `TopologicalSolution` here,
 `hypergeom.QSolution`) evaluates through the same two methods,
@@ -104,8 +105,8 @@ class LeveltSolution:
         # ill-conditioned D of verify-all's z at n >= 10 fails the absolute
         # self-check of `vandermonde`
         self.d, self.dinv = (np.asarray(m, dtype=complex) for m in vandermonde(n, z))
-        self.coeffs = [np.asarray(g, dtype=complex) for g in levelt_coefficients(n, z, order)]
         self.zc = np.array([complex(w) for w in z])
+        self.coeffs = levelt_coefficients(n, self.zc.tolist(), order)
 
     def gauge(self, q: complex) -> np.ndarray:
         """1 + sum_k G_k q^k, by Horner's rule."""
@@ -130,9 +131,20 @@ class LeveltSolution:
         """Matrix of the q = 0 monodromy operator wrt this solution."""
         return np.diag(np.exp(2j * np.pi * self.zc))
 
+    def converged(self, q: complex) -> bool:
+        """`series_converged` on the largest entries of the last two G_k."""
+        return series_converged(q, *(np.max(np.abs(g)) for g in self.coeffs[-2:]))
+
 
 def levelt_series(n: int, z: Sequence, order: int) -> LeveltSolution:
     return LeveltSolution(n, z, order)
+
+
+def series_converged(q: complex, prev: float, last: float) -> bool:
+    """Whether the last term of a truncated series at q is below half the one
+    before it, from the sizes of their coefficients (a last coefficient that
+    underflowed to 0 counts as below)."""
+    return bool(last == 0 or abs(q) * last < 0.5 * prev)
 
 
 # -- topological-enumerative solution ---------------------------------------------------
@@ -160,13 +172,10 @@ class TopologicalSolution:
         self.n = n
         self.z = tuple(z)
         self.order = order
-        self.levelt = LeveltSolution(n, z, order)
-        self.zc = self.levelt.zc
-        self.a_coeffs = [
-            np.array([complex(c) for c in a_series_coefficients(n, z, order, j)])
-            for j in range(1, n + 1)
-        ]
-        self.eta = eta_gram(n, [complex(w) for w in z])
+        self.dinv = np.asarray(vandermonde(n, z)[1], dtype=complex)
+        self.zc = np.array([complex(w) for w in z])
+        self.a_coeffs = [np.array(a_series_coefficients(n, self.zc.tolist(), order, j)) for j in range(1, n + 1)]
+        self.eta = eta_gram(n, self.zc.tolist())
         self.eta_inv = np.linalg.inv(self.eta)
 
     def _theta_powers(self, lq: complex) -> np.ndarray:
@@ -183,19 +192,20 @@ class TopologicalSolution:
         return out
 
     def _in_x(self, yhat: np.ndarray) -> np.ndarray:
-        return self.eta_inv @ (yhat @ self.levelt.dinv.T) @ self.eta
+        return self.eta_inv @ (yhat @ self.dinv.T) @ self.eta
 
     def matrix(self, q: complex, log_q: complex | None = None) -> np.ndarray:
         lq = cmath.log(q) if log_q is None else log_q
         return self._in_x(self._theta_powers(lq)[: self.n])
 
-    def matrix_via_levelt(self, q: complex, log_q: complex | None = None) -> np.ndarray:
-        return self.levelt.matrix(q, log_q) @ self.levelt.d
-
     def derivative(self, q: complex, log_q: complex | None = None) -> np.ndarray:
         """d/dq theta^h a_j = theta^{h+1} a_j / q: rows 1..n of the theta powers."""
         lq = cmath.log(q) if log_q is None else log_q
         return self._in_x(self._theta_powers(lq)[1:] / q)
+
+    def converged(self, q: complex) -> bool:
+        """`series_converged` on the last two coefficients of every a_j."""
+        return all(series_converged(q, *np.abs(a[-2:])) for a in self.a_coeffs)
 
 
 def topological_series(n: int, z: Sequence, order: int) -> TopologicalSolution:
@@ -259,12 +269,6 @@ class ScalarSeries:
 
     def is_zero(self, tol: float = 0.0) -> bool:
         return all(is_negligible(c, tol) for c in self.coeffs)
-
-
-def a_series_symbolic(n: int, j: int, order: int) -> ScalarSeries:
-    """The scalar series a_j with rational-function coefficients in symbolic z."""
-    z = parameters(n)
-    return ScalarSeries(z[j - 1], a_series_coefficients(n, z, order, j), order)
 
 
 def scalar_qde_residual(phi: ScalarSeries, n: int, z: Sequence) -> ScalarSeries:

@@ -97,6 +97,18 @@ def _add_product(tm: dict, t1: dict, t2: dict) -> None:
                 del tm[k]
 
 
+def _refit(p: "LaurentPoly", q: "LaurentPoly") -> int:
+    """The bound of p * q past the slot limit, with both bounds read off the keys
+    again: along a chain of products the bounds add up, the exponents may not."""
+    for f in (p, q):
+        n = len(f.vars)
+        object.__setattr__(f, "_b", max((max(map(abs, _unpack(k, n))) for k in f._t), default=0))
+    b = p._b + q._b
+    if b > _LIMIT:
+        raise OverflowError(f"exponent bound {b} passes the slot limit {_LIMIT}")
+    return b
+
+
 class _Terms(Mapping):
     """Read-only view of packed terms keyed by exponent tuples: its length is
     read off the packed dict, its items are decoded on first use."""
@@ -274,9 +286,12 @@ class LaurentPoly:
                 self.vars, {k: _norm_coeff(v * c) for k, v in self._t.items()}, self._b
             )
         self._check_context(other)
+        b = self._b + other._b
+        if b > _LIMIT:
+            b = _refit(self, other)
         tm: dict[int, Fraction | int] = {}
         _add_product(tm, self._t, other._t)
-        return LaurentPoly._raw(self.vars, tm, self._b + other._b)
+        return LaurentPoly._raw(self.vars, tm, b)
 
     __rmul__ = __mul__
 
@@ -292,8 +307,11 @@ class LaurentPoly:
             if p.vars != vs or q.vars != vs:
                 raise ValueError(f"variable-context mismatch: {p.vars} * {q.vars} in {vs}")
             if p._t and q._t:
+                bp = p._b + q._b
+                if bp > _LIMIT:
+                    bp = _refit(p, q)
                 _add_product(tm, p._t, q._t)
-                b = max(b, p._b + q._b)
+                b = max(b, bp)
         return cls._raw(vs, tm, b)
 
     def __truediv__(self, other) -> "RationalFn":

@@ -17,17 +17,17 @@ Each formula is written once.  The shearing coefficients B_j, the matrix E
 and the conjugates hat A_j = E B_j E^{-1} are exact, over the variables
 (W, z1..zn) with W a formal primitive 2n-th root of unity; a conjugation by E
 is reduced modulo the cyclotomic polynomial Phi_2n(W) as soon as it is
-formed.  Their numeric forms (`e_matrix`, the hat A_j of
-`formal_reduce_numeric`, the B_0 and B_1 of `dubrovin_bridge`) are these
-matrices evaluated at W = e^{i pi/n} and at z; the bridge integrates its
-linear system by RK4 step matrices P_k, T_{k+1} = P_k T_k, built in batches.
-The formal gauge recursion and its order-by-order residual run over the field
-of their input: Laurent polynomials in (W, z1, z2), reduced modulo Phi_4(W)
-after each step, for the exact rank-2 reduction, and complex numbers at any
-rank.  Stokes and Gram
-matrices and the identities between them are exact over R(GL_n), in E1..En
-with Ek = e_k(Z), where the Stokes bases have their line-bundle coordinates;
-the CLI expands them in Z1..Zn only to print them.
+formed.  Their numeric forms (`e_matrix`, the B_0 and B_1 of
+`dubrovin_bridge`) are these matrices evaluated at W = e^{i pi/n} and at z;
+`formal_reduce_numeric` forms its hat A_j as products of them, and the bridge
+integrates its linear system by RK4 step matrices P_k, T_{k+1} = P_k T_k,
+built in batches.  The formal gauge recursion and its order-by-order residual
+run over the field of their input: Laurent polynomials in (W, z1, z2),
+reduced modulo Phi_4(W) after each step, for the exact rank-2 reduction, and
+complex numbers at any rank.  Stokes and Gram matrices and the identities
+between them are exact over R(GL_n), in E1..En with Ek = e_k(Z), where the
+Stokes bases have their line-bundle coordinates; the CLI expands them in
+Z1..Zn only to print them.
 """
 
 from __future__ import annotations
@@ -308,10 +308,11 @@ def formal_reduce_exact_rank2(order: int) -> FormalSolution:
 
 def formal_reduce_numeric(n: int, z: Sequence[complex], order: int) -> FormalSolution:
     """Numeric formal reduction for any rank: the same recursion over complex
-    numbers, with hat A_j evaluated at W = e^{i pi/n} and z."""
+    numbers, with hat A_j = E B_j E^{-1} from the numeric E and B_j at z."""
     zc = [complex(w) for w in z]
-    at = {W: cmath.exp(1j * cmath.pi / n), **dict(zip(cohom_vars(n), zc))}
-    ahat = [_evaluate(a, at) for a in _ahat_exact(n)]
+    e, einv = e_matrix(n)
+    at = dict(zip(cohom_vars(n), zc))
+    ahat = [e @ _evaluate(b, at) @ einv for b in shear_coeffs(n)]
     u = [n * cmath.exp(2j * cmath.pi * m / n) for m in range(n)]
     gap_inv = [[1 / (u[b] - u[a]) if a != b else None for b in range(n)] for a in range(n)]
     lam = sum(zc) + (n - 1) / 2

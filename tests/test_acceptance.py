@@ -37,7 +37,8 @@ from projqde.ktheory import (
 )
 from projqde.qde import (
     BranchContext,
-    a_series_symbolic,
+    ScalarSeries,
+    a_series_coefficients,
     levelt_series,
     ode_residual,
     scalar_qde_residual,
@@ -199,12 +200,12 @@ def test_criterion_04_series_solutions():
             assert ode_residual(lev, q, n, z) <= 1e-9
             assert ode_residual(top, q, n, z) <= 1e-9
             lhs = top.matrix(q)
-            rhs = top.matrix_via_levelt(q)
+            rhs = lev.matrix(q) @ lev.d
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(lhs))
     # scalar equation, symbolically to order 6
     n = 2
     zsym = [LaurentPoly.variable(("z1", "z2"), f"z{i + 1}") for i in range(n)]
-    res = scalar_qde_residual(a_series_symbolic(n, 1, 6), n, zsym)
+    res = scalar_qde_residual(ScalarSeries(zsym[0], a_series_coefficients(n, None, 6, 1), 6), n, zsym)
     assert all(c.is_zero() for c in res.coeffs[:-1])
     assert time.perf_counter() - started < 60.0
     report("criterion 4: regular-point series solve the equation", started)

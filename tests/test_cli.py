@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import projqde
-from projqde import qde, stokes
+from projqde import hypergeom, qde, stokes
 from projqde.cli import main, parse_kclass_expr, parse_sector, parse_z
 from projqde.ring import LaurentPoly
 from projqde.ktheory import xz_vars
@@ -124,6 +124,22 @@ def test_psi_refuses_an_unconverged_series(capsys, order):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: residue series not converged at q = 1e4 by --order {order}\n")
     assert main(argv[:-1] + ["400"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, q, what",
+    [
+        (["solve-qde", "--n", "2", "--z", "0.1,0.4"], "1e3", "qDE"),
+        (["solve-qde", "--n", "2", "--z", "0.1,0.4", "--solution", "top"], "1e3", "qDE"),
+        (["qkz-check", "--n", "2", "--z", "0.1,0.4"], "1e3", "residue"),
+        (["qkz-check", "--n", "2", "--z", "0.1,0.4"], "1e8", "residue"),
+    ],
+)
+def test_unconverged_series_exit_2(capsys, argv, q, what):
+    # the truncation, not a failed identity: the terms still grow at order 40
+    assert main(argv + ["--q", q]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {what} series not converged at q = {q} by --order 40\n")
 
 
 def test_bad_usage_exit_2(capsys):
@@ -247,7 +263,7 @@ def test_overflow_warns_nothing(capsys):
     # numpy's overflow warnings would reach stderr ahead of the one-line verdict
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"]) == 1
+        assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"]) == 2
         main(["psi", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"])
     assert [str(w.message) for w in caught] == []
 
@@ -260,9 +276,9 @@ def test_exact_commands_load_no_scipy():
     assert out.splitlines()[-1] == "0 False"
 
 
-def test_nan_residual_is_a_failure(capsys):
-    # the residue series overflows at this q and its residuals are NaN
-    assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"]) == 1
+def test_nan_residual_is_a_failure(monkeypatch, capsys):
+    monkeypatch.setattr(hypergeom, "solution_qkz_residual", lambda *args: float("nan"))
+    assert main(["qkz-check", "--n", "2", "--z", "0.1,0.4", "--q", "0.3"]) == 1
     assert capsys.readouterr().err.splitlines()[-1].startswith("FAILED: difference residual nan")
 
 

@@ -15,7 +15,6 @@ from projqde.cohomology import (
     chern_character,
     connection_matrix,
     eta_gram,
-    eta_pair,
     first_chern_class,
     g_basis_matrix,
     gamma_class,
@@ -29,6 +28,17 @@ Z3 = (0.1, 0.37 + 0.05j, -0.42)
 
 def ctx3():
     return NumericContext(Z3)
+
+
+def eta_pair(u, v, z):
+    """Poincare pairing via the fixed-point sum with weights 1/prod(z_i - z_j)."""
+    n = u.n
+    return sum(
+        u.restrictions[i]
+        * v.restrictions[i]
+        / math.prod(z[i] - z[j] for j in range(n) if j != i)
+        for i in range(n)
+    )
 
 
 def test_omega_guard():

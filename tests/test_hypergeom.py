@@ -10,8 +10,8 @@ from projqde.cohomology import NumericContext
 from projqde.hypergeom import (
     QSolution,
     SolutionSeries,
+    _char_values,
     analytic_comparison_matrix,
-    asymptotic_ratio,
     b_theorem_check,
     contour_oracle,
     fundamental_matrix,
@@ -152,6 +152,16 @@ def test_contour_oracle_monomial_normalization():
     assert np.allclose(a, b, rtol=1e-12)
 
 
+def asymptotic_ratio(m: int, r: float, branch: BranchContext, ctx: NumericContext) -> complex:
+    """Ratio of the X^m solution (weights Z_J^m on the residue series) to its
+    predicted leading behaviour, the scaled-element ratio with tag m;
+    approaches 1 for phi inside (m/n - 1, m/n)."""
+    n = ctx.n
+    if not (m / n - 1 < branch.phi < m / n):
+        raise ValueError("phi outside the admissible window for this exponent")
+    return scaled_element_asymptotic_ratio([w**m for w in _char_values(ctx)], m, r, branch, ctx)
+
+
 def test_asymptotic_ratio_rank2():
     for m in (0, 1):
         br = BranchContext(phi=m / 2 - 0.05)
@@ -235,3 +245,43 @@ def test_b_theorem_k_shift_relation():
     m0 = analytic_comparison_matrix(0, ctx)
     m1 = analytic_comparison_matrix(1, ctx)
     assert np.allclose(m1, dinv @ np.diag(az) @ d @ m0, rtol=1e-10)
+
+
+def _sum_reference(series, q, extra_power):
+    """The per-term loop `SolutionSeries._sum` replaced: numpy scalars and a
+    row peak taken at every term, the same terms and cut-off; also the
+    number of terms summed."""
+    out = np.zeros(series.n, dtype=complex)
+    v = series._c0
+    peak = 0.0
+    for r in range(series.order + 1):
+        if r > 0:
+            v = v * (series._sign * q) / series._divs[r - 1]
+        w = v if extra_power == 0 else v * (series.exponent + r)
+        out += w * series._nums[r]
+        mag = abs(v) * float(np.max(np.abs(series._nums[r])))
+        peak = max(peak, mag)
+        if r > 8 and mag < 1e-22 * peak:
+            break
+    return out, r + 1
+
+
+@pytest.mark.parametrize(
+    "z", [(0.1, 0.4), (0.144572, 0.372918, 0.615971), (0.1, 0.37 + 0.05j, -0.42, 0.7)], ids=["n2", "n3", "n4"]
+)
+def test_series_sum_matches_the_termwise_loop(z):
+    ctx = NumericContext(z)
+    qs = (0.3, 0.2 + 0.1j, -5.0, 1e3, 1e4 * cmath.exp(0.3j))
+    cut = set()
+    for J in range(1, len(z) + 1):
+        for order in (40, 400):
+            series = SolutionSeries(J, ctx, order)
+            for q in qs:
+                for extra in (0, 1):
+                    want, terms = _sum_reference(series, q, extra)
+                    got = series._sum(q, extra)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+                    if terms <= order:
+                        cut.add(q)
+    # the cut-off fires at order 400, at the large |q| too
+    assert set(qs) <= cut

@@ -974,3 +974,15 @@ def test_basis_constructor_verifies():
     n = 2
     with pytest.raises(ValueError):
         ExceptionalBasis([line(n, 0), line(n, 0) + line(n, 1)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_long_braid_words_keep_small_exponents(n):
+    """C^{-n} acts on the Beilinson basis as the Serre twist; along C^{-4n}
+    the bounds of the products add up past the slot limit while the
+    exponents stay small."""
+    basis = beilinson_basis(n)
+    want = list(basis.elements)
+    for _ in range(4):
+        want = [serre_twist(e) for e in want]
+    assert list(braid_act(braid_constants("C", n) ** (-4 * n), basis).elements) == want

@@ -12,7 +12,6 @@ from projqde.cohomology import cohom_vars, vandermonde
 from projqde.qde import (
     ScalarSeries,
     a_series_coefficients,
-    a_series_symbolic,
     coefficient_matrix,
     levelt_coefficients,
     levelt_series,
@@ -102,10 +101,11 @@ def test_topological_equals_levelt_times_vandermonde():
     rng = random.Random(3)
     for n, z in ((2, Z2), (3, Z3)):
         top = topological_series(n, z, 35)
+        lev = levelt_series(n, z, 35)
         for _ in range(3):
             q = 0.3 * cmath.exp(2j * cmath.pi * rng.random())
             lhs = top.matrix(q)
-            rhs = top.matrix_via_levelt(q)
+            rhs = lev.matrix(q) @ lev.d
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(lhs)
 
 
@@ -120,7 +120,7 @@ def _topological_derivative_loop(top, q, lq):
         for h in range(n):
             out[h, j] = np.sum(vals)
             vals = vals * expo
-    return top.eta_inv @ (out @ top.levelt.dinv.T) @ top.eta
+    return top.eta_inv @ (out @ top.dinv.T) @ top.eta
 
 
 @pytest.mark.parametrize(
@@ -144,7 +144,7 @@ def test_topological_leading_form():
     d, dinv = vandermonde(n, Z3)
     qa1 = dinv @ np.diag(np.exp(np.array(Z3, dtype=complex) * cmath.log(q))) @ d
     phi = top.matrix(q) @ np.linalg.inv(qa1)
-    phi1 = dinv @ np.asarray(top.levelt.coeffs[1]) @ d
+    phi1 = dinv @ levelt_series(n, Z3, 40).coeffs[1] @ d
     assert np.allclose(phi, np.eye(n) + q * phi1, atol=1e-7)
 
 
@@ -167,6 +167,41 @@ def test_levelt_residual_at_high_rank(n):
     assert ode_residual(sol, 0.3, n, [complex(w) for w in z]) < 1e-6
 
 
+def _agree(got, exact, rel):
+    """got within rel of exact, relative to the largest entry of each exact
+    coefficient; a coefficient whose exact size is below the normal doubles
+    underflows, in the rounding of the exact value as in the float recursion."""
+    for g, e in zip(got, exact):
+        g, e = np.asarray(g, dtype=complex), np.asarray(e, dtype=complex)
+        size = np.max(np.abs(e))
+        if size < 1e-290:
+            assert np.max(np.abs(g)) < 1e-290
+        else:
+            assert np.max(np.abs(g - e)) <= rel * size
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_complex_recursions_match_exact(n):
+    """The evaluators run the Levelt and a_j recursions over complex z: with
+    products and quotients only, they agree with the exact ones, rounded."""
+    z = tuple(Fraction(2 * m + (1 if m % 2 else 0), 2 * n + 1) for m in range(n))
+    zc = [complex(w) for w in z]
+    _agree(levelt_coefficients(n, zc, 40), levelt_coefficients(n, z, 40), 1e-13)
+    for j in range(1, n + 1):
+        _agree(a_series_coefficients(n, zc, 40, j), a_series_coefficients(n, z, 40, j), 1e-13)
+    lev = levelt_series(n, z, 40)
+    _agree(lev.coeffs, levelt_coefficients(n, z, 40), 1e-13)
+
+
+def test_series_convergence_at_the_cutoff():
+    # at order 40 the terms of both series still grow at q = 1e3, at n = 2
+    n, z = 2, (0.1, 0.4)
+    for make in (levelt_series, topological_series):
+        assert make(n, z, 40).converged(0.3)
+        assert not make(n, z, 40).converged(1e3)
+        assert make(n, z, 120).converged(1e3)
+
+
 def test_corrupted_series_fails_residual():
     n, z, order = 2, Z2, 25
     sol = levelt_series(n, z, order)
@@ -174,10 +209,16 @@ def test_corrupted_series_fails_residual():
     assert ode_residual(sol, 0.3, n, z) > 1e-6
 
 
+def _a_series_symbolic(n: int, j: int, order: int) -> ScalarSeries:
+    """The scalar series a_j with rational-function coefficients in symbolic z."""
+    z = [LaurentPoly.variable(cohom_vars(n), v) for v in cohom_vars(n)]
+    return ScalarSeries(z[j - 1], a_series_coefficients(n, None, order, j), order)
+
+
 def test_scalar_qde_symbolic_rank2():
     n, order = 2, 6
     z = [LaurentPoly.variable(cohom_vars(n), f"z{i + 1}") for i in range(n)]
-    phi = a_series_symbolic(n, 1, order)
+    phi = _a_series_symbolic(n, 1, order)
     res = scalar_qde_residual(phi, n, z)
     # the last coefficient is truncation garbage (the q*phi shift), so drop it
     assert all(c.is_zero() for c in res.coeffs[:-1])

@@ -532,9 +532,10 @@ def test_exponents_past_the_slot_limit_raise():
         lambda: LaurentPoly.monomial(vs, (0, 0, 0, 2**31)),
         lambda: LaurentPoly.monomial(vs, (0, 2**16, 0, 0)) ** -(2**15),
         lambda: (LaurentPoly.monomial(evars(4), (2**30, 0, 0, 2**30)) + 1).dual(),
-        # W^-1 reduces to W^6 at a 7th root of unity, whose bound is 6, not 1
+        # W^-1 reduces to -1 - W - .. - W^5 at a 7th root of unity, whose
+        # exponents reach 5, not 1
         lambda: reduce_root_of_unity(LaurentPoly.variable(("W",), "W", -1), "W", 7)
-        * LaurentPoly.variable(("W",), "W", SLOT_LIMIT - 5),
+        * LaurentPoly.variable(("W",), "W", SLOT_LIMIT - 4),
     ):
         with pytest.raises(OverflowError):
             thunk()
@@ -545,3 +546,14 @@ def test_exponents_must_be_python_integers(exps):
     # a fixed-width integer would wrap when packed
     with pytest.raises(TypeError):
         LaurentPoly(V2, {exps: 1})
+
+
+def test_drifted_bounds_are_refit_from_the_keys():
+    # the bound of the reduction is its order, 7; its exponents reach 5, so
+    # the product tops out at the slot limit itself
+    w = reduce_root_of_unity(LaurentPoly.variable(("W",), "W", -1), "W", 7)
+    top = LaurentPoly.variable(("W",), "W", SLOT_LIMIT - 5)
+    want = {(SLOT_LIMIT - 5 + k,): -1 for k in range(6)}
+    assert (w * top).terms == want
+    assert LaurentPoly.sum_of_products(("W",), [(w, top)]).terms == want
+

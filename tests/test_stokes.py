@@ -18,6 +18,8 @@ from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_r
 from projqde.qde import BranchContext
 from projqde.ring import LaurentMatrix, LaurentPoly, evars, reduce_root_of_unity, sym_poly, zvars
 from projqde.stokes import (
+    W,
+    _ahat_exact,
     FormalSolution,
     SectorId,
     _at_unity_roots,
@@ -476,3 +478,16 @@ def test_dubrovin_bridge_fails_on_a_wrong_e(monkeypatch):
     swap = [1, 0, 2]
     monkeypatch.setattr(stokes, "e_matrix", lambda n: (e[:, swap], einv[swap, :]))
     assert dubrovin_bridge(3)["residual"] > 1e-6
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_numeric_ahat_matches_the_exact_conjugates(n):
+    """formal_reduce_numeric forms hat A_j = E B_j E^{-1} from the numeric E;
+    the exact hat A_j evaluated at the same point agree."""
+    z = [0.1 * k + 0.03j * k * k - 0.2 for k in range(n)]
+    sol = formal_reduce_numeric(n, z, 2)
+    at = {W: cmath.exp(1j * cmath.pi / n), **dict(zip(cohom_vars(n), z))}
+    want = [_evaluate(a, at) for a in _ahat_exact(n)]
+    assert len(sol.ahat) == len(want) == n + 1
+    for got, a in zip(sol.ahat, want):
+        assert np.max(np.abs(got - a)) <= 1e-12 * max(1.0, np.max(np.abs(a)))
