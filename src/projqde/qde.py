@@ -142,8 +142,7 @@ def levelt_series(n: int, z: Sequence, order: int) -> LeveltSolution:
 
 def series_converged(q: complex, prev: float, last: float) -> bool:
     """Whether the last term of a truncated series at q is below half the one
-    before it, from the sizes of their coefficients (a last coefficient that
-    underflowed to 0 counts as below)."""
+    before it, from their coefficient sizes; an underflowed last 0 counts."""
     return bool(last == 0 or abs(q) * last < 0.5 * prev)
 
 
@@ -173,9 +172,10 @@ class TopologicalSolution:
         self.z = tuple(z)
         self.order = order
         self.dinv = np.asarray(vandermonde(n, z)[1], dtype=complex)
-        self.zc = np.array([complex(w) for w in z])
-        self.a_coeffs = [np.array(a_series_coefficients(n, self.zc.tolist(), order, j)) for j in range(1, n + 1)]
-        self.eta = eta_gram(n, self.zc.tolist())
+        zc = [complex(w) for w in z]
+        self.zc = np.array(zc)
+        self.a_coeffs = [np.array(a_series_coefficients(n, zc, order, j)) for j in range(1, n + 1)]
+        self.eta = eta_gram(n, zc)
         self.eta_inv = np.linalg.inv(self.eta)
 
     def _theta_powers(self, lq: complex) -> np.ndarray:
