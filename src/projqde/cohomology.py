@@ -82,11 +82,11 @@ def as_matrix(rows, like):
     return np.array(rows, dtype=complex if isinstance(like, (float, complex)) else object)
 
 
-def is_negligible(x, tol: float = SELF_CHECK_ATOL) -> bool:
-    """Zero over an exact field; at most tol in absolute value over the reals
-    or the complex numbers."""
+def is_negligible(x) -> bool:
+    """Zero over an exact field; at most SELF_CHECK_ATOL in absolute value
+    over the reals or the complex numbers."""
     if isinstance(x, (float, complex)):
-        return abs(x) <= tol
+        return abs(x) <= SELF_CHECK_ATOL
     return x == 0
 
 

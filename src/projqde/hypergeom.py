@@ -4,8 +4,9 @@ Each basis solution is a residue series attached to one equivariant parameter:
 the poles of the Gamma-product master function along z_J + r contribute a
 series q^{z_J}(Delta_J + O(q)) whose fixed-point restrictions have closed-form
 coefficients.  A contour-integral evaluator over a parabola provides an
-independent numeric oracle for the normalization, and the asymptotic expansion
-at large |s| (q = s^n) is exposed for Stokes-sector checks.
+independent numeric oracle for the normalization.  The asymptotic expansion at
+large |s| (q = s^n), against which the tests check the Stokes sectors, lives
+in the tests (`tests/identities.py`).
 
 A `QSolution` follows the evaluator protocol of `qde`: `matrix(q, log_q)` and
 `derivative(q, log_q)` give its x-coordinates and their q-derivative, an
@@ -17,14 +18,12 @@ differential equation and `qkz.difference_residual` for the shift equations;
 from __future__ import annotations
 
 import cmath
-import math
-from typing import Sequence
 
 import numpy as np
 
 from .cohomology import CohClass, NumericContext, b_morphism, vandermonde
 from .ktheory import KClass, xz_vars
-from .qde import BranchContext, ode_residual, series_converged, topological_series
+from .qde import ode_residual, series_converged, topological_series
 from .qkz import difference_residual
 from .ring import LaurentPoly
 
@@ -71,14 +70,6 @@ class SolutionSeries:
             if a != J - 1:
                 gamma_prod *= ctx.gamma(1 + z[a] - zj)
         self.prefactor = cmath.exp(1j * cmath.pi * complex(np.sum(z))) * gamma_prod
-
-    def coefficient(self, r: int) -> np.ndarray:
-        """Restriction vector of the coefficient of q^{z_J + r} (without the
-        transcendental prefactor); rational in the parameters."""
-        v = self._c0
-        for l in range(r):
-            v = v * self._sign / self._divs[l]
-        return v * self._nums[r]
 
     def _sum(self, q: complex, extra_power: float) -> np.ndarray:
         """sum_r (exponent + r)^extra * term_r(q), term-recursively for
@@ -268,42 +259,6 @@ def contour_oracle(
         im = quad(lambda u: integrand(u).imag, -9.0, 9.0, limit=400)[0]
         restrictions.append((re + 1j * im) / (2j * cmath.pi))
     return CohClass(n, restrictions)
-
-
-# -- asymptotics at the irregular point ---------------------------------------------------
-
-
-def _adaptive_order(n: int, abs_q: float) -> int:
-    return max(60, int(4 * n * abs_q ** (1.0 / n)) + 40)
-
-
-def scaled_element_asymptotic_ratio(
-    weights: Sequence[complex], tag: int, r: float, branch: BranchContext, ctx: NumericContext
-) -> complex:
-    """Ratio of a rescaled basis element (given by its weights on the residue
-    series) to the normalized prediction ((2 pi)^{(n-1)/2}/sqrt n)
-    e^{-i pi (n-1)/2} (zeta^tag s)^{sum z + (n-1)/2} e^{n s zeta^tag}, with
-    arg(zeta^tag s) = 2 pi tag/n - 2 pi phi (continuous in phi, principal near
-    the top edge of the base sector)."""
-    n = ctx.n
-    q = branch.q_value(r, n)
-    lq = branch.log_q(r, n)
-    order = _adaptive_order(n, abs(q))
-    series = [SolutionSeries(J, ctx, order) for J in range(1, n + 1)]
-    got = sum(w * s.restrictions(q, lq)[0] for w, s in zip(weights, series))
-    total = sum(ctx.z)
-    lam = total + (n - 1) / 2
-    zeta = cmath.exp(2j * cmath.pi / n)
-    s = branch.s_value(r)
-    arg = 2 * cmath.pi * tag / n - 2 * cmath.pi * branch.phi
-    predicted = (
-        (2 * cmath.pi) ** ((n - 1) / 2)
-        / math.sqrt(n)
-        * cmath.exp(-1j * cmath.pi * (n - 1) / 2)
-        * cmath.exp(lam * (math.log(r) + 1j * arg))
-        * cmath.exp(n * s * zeta**tag)
-    )
-    return got / predicted
 
 
 # -- comparison with the enumerative solution -----------------------------------------------

@@ -276,12 +276,6 @@ class KClass:
             for z in vs
         )
 
-    def mul_class(self, other: "KClass") -> "KClass":
-        """Product in the algebra: O(a) O(b) = O(a+b), characters multiplied."""
-        f, g = _one_ring([self, other])
-        terms = [(a * b, i + j) for i, a in enumerate(f._co) for j, b in enumerate(g._co)]
-        return KClass(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
-
     def twist(self, m: int) -> "KClass":
         """Multiply by X^m (tensor with O(-m)): O(a) -> O(a-m)."""
         return KClass(_expand(self._co[0].vars, [(c, a - m) for a, c in enumerate(self._co)]), self._char)
@@ -349,11 +343,6 @@ def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
     and zero otherwise."""
     return to_z(_chi(f, g), f.n)
-
-
-def a_pair(f: KClass, g: KClass) -> LaurentPoly:
-    """The opposite-order pairing A(f, g) = chi(g, f)^*."""
-    return chi_pair(g, f).dual()
 
 
 # -- exceptional bases --------------------------------------------------------------

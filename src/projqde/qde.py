@@ -8,6 +8,11 @@ the scalar field of z (see `cohomology`): Fractions for rational z, complex
 numbers for numeric z, rational functions in z1..zn when z is omitted.  The
 evaluators feed the recursions complex z even when z is rational (products
 and quotients, with no cancellation); only D and D^{-1} stay over its field.
+They never form a power q^k alone, which overflows at large |q| where the
+terms of the series are small: the Levelt sums run by Horner's rule, and each
+term c_d q^(z_j + d) of a_j is one exponential.  The scalar equation that
+each a_j solves is checked in the tests (`tests/identities.py` holds its
+residual).
 
 Every solution object (`LeveltSolution`, `TopologicalSolution` here,
 `hypergeom.QSolution`) evaluates through the same two methods,
@@ -22,36 +27,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .ring import elementary_symmetric
-from .cohomology import as_matrix, eta_gram, is_negligible, parameters, vandermonde
-
-
-@dataclass(frozen=True)
-class BranchContext:
-    """Bookkeeping for powers q^M = exp(M log q) on the universal cover.
-
-    phi parametrizes the ray through s = r e^{-2 pi i phi}, q = s^n; a full
-    counterclockwise turn of q decreases phi by 1/n.
-    """
-
-    phi: float = 0.0
-
-    def s_value(self, r: float) -> complex:
-        return r * cmath.exp(-2j * cmath.pi * self.phi)
-
-    def log_s(self, r: float) -> complex:
-        return math.log(r) - 2j * cmath.pi * self.phi
-
-    def q_value(self, r: float, n: int) -> complex:
-        return self.s_value(r) ** n
-
-    def log_q(self, r: float, n: int) -> complex:
-        return n * self.log_s(r)
+from .cohomology import as_matrix, eta_gram, parameters, vandermonde
 
 
 # -- the equation ---------------------------------------------------------------------
@@ -124,12 +105,11 @@ class LeveltSolution:
         lq = cmath.log(q) if log_q is None else log_q
         qz = np.diag(np.exp(self.zc * lq))
         s = self.gauge(q)
-        ds = sum(k * self.coeffs[k] * q ** (k - 1) for k in range(1, self.order + 1))
+        # sum_k k G_k q^(k-1), by Horner's rule as in `gauge`
+        ds = np.zeros_like(self.coeffs[0])
+        for k in range(self.order, 0, -1):
+            ds = ds * q + k * self.coeffs[k]
         return self.dinv @ (ds @ qz + s @ np.diag(self.zc / q) @ qz)
-
-    def monodromy(self) -> np.ndarray:
-        """Matrix of the q = 0 monodromy operator wrt this solution."""
-        return np.diag(np.exp(2j * np.pi * self.zc))
 
     def converged(self, q: complex) -> bool:
         """`series_converged` on the largest entries of the last two G_k."""
@@ -175,17 +155,21 @@ class TopologicalSolution:
         zc = [complex(w) for w in z]
         self.zc = np.array(zc)
         self.a_coeffs = [np.array(a_series_coefficients(n, zc, order, j)) for j in range(1, n + 1)]
+        with np.errstate(divide="ignore"):  # an underflowed c_d = 0 has log -inf, and term 0
+            self.log_a = [np.log(a) for a in self.a_coeffs]
         self.eta = eta_gram(n, zc)
         self.eta_inv = np.linalg.inv(self.eta)
 
     def _theta_powers(self, lq: complex) -> np.ndarray:
-        """hat{Y}[h][j] = (q d/dq)^h a_{j+1}(q) for h = 0..n."""
+        """hat{Y}[h][j] = (q d/dq)^h a_{j+1}(q) for h = 0..n; each term
+        c_d q^(z_j + d) is one exponential exp(log c_d + (z_j + d) log q), as
+        q^(z_j + d) alone overflows at large |q| where the term is small."""
         n = self.n
         out = np.zeros((n + 1, n), dtype=complex)
         ds = np.arange(self.order + 1)
         for j in range(n):
             expo = self.zc[j] + ds
-            vals = self.a_coeffs[j] * np.exp(expo * lq)
+            vals = np.exp(self.log_a[j] + expo * lq)
             for h in range(n + 1):
                 out[h, j] = np.sum(vals)
                 vals = vals * expo
@@ -222,65 +206,3 @@ def ode_residual(solution, q: complex, n: int, z: Sequence, log_q: complex | Non
     dy = solution.derivative(q, log_q)
     a = coefficient_matrix(n, z, q)
     return float(np.linalg.norm(dy - a @ y, 2) / np.linalg.norm(y, 2))
-
-
-# -- scalar equation --------------------------------------------------------------------
-
-
-class ScalarSeries:
-    """Truncated series q^{expo} sum_d c_d q^d with field-generic coefficients."""
-
-    def __init__(self, expo, coeffs: Sequence, order: int):
-        coeffs = list(coeffs)
-        if len(coeffs) != order + 1:
-            raise ValueError("need order+1 coefficients")
-        self.expo = expo
-        self.coeffs = coeffs
-        self.order = order
-
-    def theta(self) -> "ScalarSeries":
-        """Apply q d/dq: multiply c_d by (expo + d)."""
-        return ScalarSeries(
-            self.expo, [c * (self.expo + d) for d, c in enumerate(self.coeffs)], self.order
-        )
-
-    def theta_power(self, k: int) -> "ScalarSeries":
-        out = self
-        for _ in range(k):
-            out = out.theta()
-        return out
-
-    def shift_by_q(self) -> "ScalarSeries":
-        """Multiply by q (drop the coefficient beyond the truncation order)."""
-        return ScalarSeries(self.expo, [0 * self.coeffs[0]] + self.coeffs[:-1], self.order)
-
-    def scale(self, c) -> "ScalarSeries":
-        return ScalarSeries(self.expo, [x * c for x in self.coeffs], self.order)
-
-    def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
-        return ScalarSeries(
-            self.expo, [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def __add__(self, other: "ScalarSeries") -> "ScalarSeries":
-        return ScalarSeries(
-            self.expo, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
-        )
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(is_negligible(c, tol) for c in self.coeffs)
-
-
-def scalar_qde_residual(phi: ScalarSeries, n: int, z: Sequence) -> ScalarSeries:
-    """Residual of the scalar equation
-    theta^n phi - (q + (-1)^{n-1} s_n(z)) phi - sum_j (-1)^{n-j-1} s_{n-j}(z)
-    theta^j phi; zero iff phi solves it to the truncation order."""
-    res = phi.theta_power(n)
-    res = res - phi.shift_by_q()
-    sn = elementary_symmetric(list(z), n)
-    res = res - phi.scale(sn if (n - 1) % 2 == 0 else -sn)
-    for j in range(1, n):
-        s = elementary_symmetric(list(z), n - j)
-        sign = 1 if (n - j - 1) % 2 == 0 else -1
-        res = res - phi.theta_power(j).scale(sign * s)
-    return res

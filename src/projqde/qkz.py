@@ -4,8 +4,8 @@ equations that shift the equivariant parameters by -1.
 
 The R-matrices and shift operators are written once, over the scalar field of
 (q, z) (see `cohomology`).  At the variables (q, z1..zn) they are matrices
-over Laurent polynomials, so the Yang-Baxter, inversion, and compatibility
-identities are verified exactly.
+over Laurent polynomials, where `tests/test_qkz.py` verifies the Yang-Baxter,
+inversion and compatibility identities exactly.
 """
 
 from __future__ import annotations
@@ -16,43 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cohomology import (
-    NumericContext,
-    as_matrix,
-    cohom_vars,
-    g_basis_inverse,
-    g_basis_matrix,
-    over_field,
-)
-from .ring import LaurentMatrix, LaurentPoly
-from .qde import system_matrices
-
-
-def qkz_vars(n: int) -> tuple[str, ...]:
-    return ("q",) + cohom_vars(n)
-
-
-def _variables(n: int) -> list[LaurentPoly]:
-    """q, z1..zn as Laurent polynomials over qkz_vars(n)."""
-    return [LaurentPoly.variable(qkz_vars(n), v) for v in qkz_vars(n)]
-
-
-def shift_poly(p: LaurentPoly, name: str, delta: int) -> LaurentPoly:
-    """Substitute name -> name + delta (nonnegative exponents only)."""
-    base = LaurentPoly.variable(p.vars, name) + LaurentPoly.constant(p.vars, delta)
-    series = p.as_series(name)
-    if any(k < 0 for k in series):
-        raise ValueError(f"cannot shift negative power of {name}")
-    return LaurentPoly.sum_of_products(p.vars, ((c.with_vars(p.vars), base**k) for k, c in series.items()))
-
-
-def shift_matrix(m: LaurentMatrix, name: str, delta: int) -> LaurentMatrix:
-    return m.map(lambda p: shift_poly(p, name, delta))
-
-
-def formal_derivative(p: LaurentPoly, name: str) -> LaurentPoly:
-    i = p.vars.index(name)
-    return LaurentPoly(p.vars, ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in p.terms.items()))
+from .cohomology import NumericContext, as_matrix, g_basis_inverse, g_basis_matrix, over_field
 
 
 # -- R-matrices -------------------------------------------------------------------------
@@ -109,22 +73,6 @@ def qkz_operator(i: int, q, z: Sequence, basis: str = "x"):
     return g_basis_matrix(n, shifted) @ k @ g_basis_inverse(n, z)
 
 
-def qkz_operator_symbolic(i: int, n: int, basis: str = "g") -> LaurentMatrix:
-    """The i-th shift operator at the variables (q, z1..zn)."""
-    q, *z = _variables(n)
-    return qkz_operator(i, q, z, basis)
-
-
-def qkz_inverse_product_symbolic(i: int, n: int) -> LaurentMatrix:
-    """R-matrix product form of the inverse shift operator taken at z_i + 1:
-    R_{i+1,i}(z_{i+1}-z_i-1)..R_{n,i}(z_n-z_i-1) q^{E_i} R_{1,i}(z_1-z_i)..R_{i-1,i}(z_{i-1}-z_i)."""
-    q, *z = _variables(n)
-    factors = [r_matrix(j, i, z[j - 1] - z[i - 1] - 1, n) for j in range(i + 1, n + 1)]
-    factors.append(_slot_matrix(i, n, q))
-    factors += [r_matrix(j, i, z[j - 1] - z[i - 1], n) for j in range(1, i)]
-    return reduce(matmul, factors)
-
-
 def difference_residual(
     solution: Callable[[complex, NumericContext], np.ndarray],
     i: int,
@@ -139,25 +87,3 @@ def difference_residual(
     lhs = solution(q, shifted)
     rhs = qkz_operator(i, q, ctx.z, basis="x") @ solution(q, ctx)
     return float(np.linalg.norm(lhs - rhs, 2) / np.linalg.norm(lhs, 2))
-
-
-# -- compatibility of the joint system ----------------------------------------------------
-
-
-def qde_compat_residual(i: int, n: int) -> LaurentMatrix:
-    """d/dq K_i(q,z) - [A(q, z - e_i) K_i(q,z) - K_i(q,z) A(q,z)], symbolically;
-    zero iff the shift operator is compatible with the differential equation."""
-    q, *z = _variables(n)
-    k = qkz_operator(i, q, z, basis="x")
-    a0, a1 = system_matrices(n, z)
-    a = a0 + a1 * q**-1
-    a_shift = shift_matrix(a, f"z{i}", -1)
-    dk = k.map(lambda p: formal_derivative(p, "q"))
-    return dk - (a_shift * k - k * a)
-
-
-def qkz_compat_residual(i: int, j: int, n: int) -> LaurentMatrix:
-    """K_i(q, z - e_j) K_j(q, z) - K_j(q, z - e_i) K_i(q, z), symbolically."""
-    ki = qkz_operator_symbolic(i, n, basis="x")
-    kj = qkz_operator_symbolic(j, n, basis="x")
-    return shift_matrix(ki, f"z{j}", -1) * kj - shift_matrix(kj, f"z{i}", -1) * ki

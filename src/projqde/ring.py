@@ -397,47 +397,6 @@ class LaurentPoly:
         tm = {sum(x << s for s, x in zip(shifts, e)): c for e, c in self._decoded()}
         return LaurentPoly._raw(vs, tm, self._b)
 
-    def drop_vars(self, names: Iterable[str]) -> "LaurentPoly":
-        """Remove variables that appear with exponent 0 in every term."""
-        drop = set(names)
-        keep = [i for i, v in enumerate(self.vars) if v not in drop]
-        for e in self.terms:
-            for i, v in enumerate(self.vars):
-                if v in drop and e[i] != 0:
-                    raise ValueError(f"{v!r} occurs with nonzero exponent; cannot drop")
-        return LaurentPoly(
-            tuple(self.vars[i] for i in keep),
-            {tuple(e[i] for i in keep): c for e, c in self.terms.items()},
-        )
-
-    def substitute_monomial(self, name: str, coeff, exps: Sequence[int]) -> "LaurentPoly":
-        """Substitute variable `name` by coeff * (monomial in self.vars).
-
-        The monomial's slot for `name` itself must be zero.  Negative powers of
-        the substituted variable are fine because a (nonzero) monomial is a unit.
-        """
-        vs = self.vars
-        i = vs.index(name)
-        exps = tuple(exps)
-        if len(exps) != len(vs) or exps[i] != 0:
-            raise ValueError("substitution monomial must live in the same context with 0 in its own slot")
-        coeff = _norm_coeff(coeff)
-        if coeff == 0:
-            raise ValueError("substitution by zero is not a unit")
-
-        def moved(e):
-            return tuple(0 if j == i else x + e[i] * y for j, (x, y) in enumerate(zip(e, exps)))
-
-        return LaurentPoly(vs, ((moved(e), c * _pow_coeff(coeff, e[i])) for e, c in self._decoded()))
-
-    def specialize(self, name: str, value) -> "LaurentPoly":
-        """Substitute an exact rational value for one variable (exponent 0 result
-        slot kept); ZeroDivisionError for a negative power of it at zero."""
-        value = _norm_coeff(value)
-        i = self.vars.index(name)
-        pairs = ((e[:i] + (0,) + e[i + 1 :], c * _pow_coeff(value, e[i])) for e, c in self._decoded())
-        return LaurentPoly(self.vars, pairs)
-
     def eval(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned a nonzero value
         if it occurs with a negative exponent."""
@@ -474,12 +433,6 @@ class LaurentPoly:
         if not self._t:
             return None
         return min(e[i] for e in self.terms)
-
-    def coefficient(self, name: str, power: int) -> "LaurentPoly":
-        """Coefficient of name**power, as a poly in the remaining variables."""
-        return self.as_series(name).get(
-            power, LaurentPoly.zero(tuple(v for v in self.vars if v != name))
-        )
 
     # -- serialization and display --------------------------------------------
 

@@ -4,11 +4,14 @@ After the shearing transformation and the substitution q = s^n, the joint
 differential/difference system acquires a diagonalizable leading term with
 eigenvalues n zeta^m.  This module computes the shearing coefficients, the
 diagonalizing root-of-unity matrix, the formal gauge reduction with its
-recursive coefficients, the diagonal normal form of the shift operators, and
-the Stokes sectors/bases/matrices.  Stokes matrices are obtained algebraically
-from the identification of Stokes bases with the rescaled sorted bases of the
-K-theory algebra; the divergent-series asymptotics serve only as a loose
-numeric sanity check.
+recursive coefficients, and the Stokes sectors/bases/matrices.  Stokes
+matrices are obtained algebraically from the identification of Stokes bases
+with the rescaled sorted bases of the K-theory algebra; the basis on e^{i pi} V
+is the left dual (the image under the half-twist beta) of the basis on V.  The
+divergent-series asymptotics serve only as a loose numeric sanity check.  The
+diagonal normal form of the shift operators at infinity, and the exact checks
+of the shearing and of E, are identities the tests verify
+(`tests/identities.py`, `tests/test_stokes.py`).
 
 Exact statements at roots of unity are proved by adjoining a formal root of
 unity W and reducing modulo its cyclotomic polynomial.
@@ -53,8 +56,6 @@ from .ktheory import (
     structured_basis,
     unit_c,
 )
-from .qde import system_matrices
-from .qkz import qkz_operator_symbolic
 from .ring import (
     LaurentMatrix,
     LaurentPoly,
@@ -126,36 +127,6 @@ def shear_coeffs(n: int) -> list[LaurentMatrix]:
     return out
 
 
-def shear_consistency_residual(n: int) -> LaurentMatrix:
-    """B(s,z) - n s^{n-1} (H^{-1} A(s^n) H - H^{-1} dH/dq), symbolically; zero
-    iff the printed coefficients match the shearing transformation."""
-    vs = ("s",) + cohom_vars(n)
-    s = LaurentPoly.variable(vs, "s")
-    coeffs = [m.map(lambda p: p.with_vars(vs)) for m in shear_coeffs(n)]
-    lhs = coeffs[0]
-    for j in range(1, n + 1):
-        lhs = lhs + coeffs[j].map(lambda p: p * s ** (-j))
-    a0, a1 = system_matrices(n)
-    a0 = a0.map(lambda p: p.with_vars(vs))
-    a1 = a1.map(lambda p: p.with_vars(vs) * s ** (-n))
-    a = a0 + a1
-    # H = diag(s^{-(alpha-1)}): conjugation scales entry (a,b) by s^{a-b};
-    # -n s^{n-1} H^{-1} dH/dq = diag(alpha-1)/s.
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(a[i, j] * s ** (i - j) * n * s ** (n - 1))
-        rows.append(row)
-    rhs = LaurentMatrix(rows)
-    diag = LaurentMatrix.identity(n, vs).entries
-    diag = [list(r) for r in diag]
-    for i in range(n):
-        diag[i][i] = LaurentPoly.constant(vs, i) * s**-1
-    rhs = rhs + LaurentMatrix(diag)
-    return lhs - rhs
-
-
 # -- the diagonalizing matrix -----------------------------------------------------------
 
 
@@ -203,29 +174,6 @@ def _conjugate_by_e(m: LaurentMatrix) -> LaurentMatrix:
     e, einv = e_matrix_exact(n, tuple(v for v in m.vars if v != W))
     m = m.map(lambda p: p.with_vars(e.vars) * Fraction(1, n))
     return _reduce_w(e * m * einv, 2 * n)
-
-
-def e_matrix_identities(n: int) -> dict:
-    """Exact checks: E E^{-1} = 1, E B_0 E^{-1} = diag(n zeta^m),
-    (E^{-1})^T eta_cl E^{-1} = 1, and diag(E B_1 E^{-1}) = (s_1 + (n-1)/2) 1."""
-    vs = (W,) + cohom_vars(n)
-    one = LaurentMatrix.identity(n, vs)
-    bs = shear_coeffs(n)
-    want0 = [[LaurentPoly.zero(vs) for _ in range(n)] for _ in range(n)]
-    for m in range(n):
-        want0[m][m] = LaurentPoly.variable(vs, W, 2 * m) * n
-    eta = [[LaurentPoly.constant(vs, 1 if a + b == n - 1 else 0) for b in range(n)] for a in range(n)]
-    _, einv = e_matrix_exact(n, cohom_vars(n))
-    conj1 = _conjugate_by_e(bs[1])
-    lam = reduce_root_of_unity(
-        sym_poly("elementary", 1, n, prefix="z").with_vars(vs) + Fraction(n - 1, 2), W, 2 * n
-    )
-    return {
-        "inverse": _conjugate_by_e(one) == one,
-        "diagonalizes": _conjugate_by_e(bs[0]) == _reduce_w(LaurentMatrix(want0), 2 * n),
-        "orthonormal": _reduce_w(einv.transpose() * LaurentMatrix(eta) * einv * Fraction(1, n), 2 * n) == one,
-        "level": all(conj1[m, m] == lam for m in range(n)),
-    }
 
 
 # -- formal reduction ---------------------------------------------------------------------
@@ -349,36 +297,6 @@ def gauge_substitution_residual_orders(sol: FormalSolution, order: int) -> list[
             r = r - sol.ahat[j] @ f[k - j]
         out.append(vanishes(r))
     return out
-
-
-# -- diagonal normal form of the shift operators ---------------------------------------------
-
-
-def qkz_normal_form(j: int, n: int) -> LaurentMatrix:
-    """Residue at s = 0 of E H(s)^{-1} K_j(s^n, z) H(s) E^{-1}, exactly, as a
-    matrix over (W, z1..zn); equals diag(zeta^{-m}) = diag(W^{-2m})."""
-    kx = qkz_operator_symbolic(j, n, basis="x")
-    svars = ("s",) + cohom_vars(n)
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            p = kx[a, b]
-            qi = p.vars.index("q")
-            terms = (((e[qi] * n,) + e[1:], c) for e, c in p.terms.items())
-            row.append(LaurentPoly(svars, terms) * LaurentPoly.variable(svars, "s", a - b))
-        rows.append(row)
-    res = [[rows[a][b].coefficient("s", -1) for b in range(n)] for a in range(n)]
-    wz = (W,) + cohom_vars(n)
-    return _conjugate_by_e(LaurentMatrix([[p.with_vars(wz) for p in row] for row in res]))
-
-
-def qkz_normal_form_expected(n: int) -> LaurentMatrix:
-    wz = (W,) + cohom_vars(n)
-    rows = [[LaurentPoly.zero(wz) for _ in range(n)] for _ in range(n)]
-    for m in range(n):
-        rows[m][m] = LaurentPoly.variable(wz, W, (-2 * m) % (2 * n))
-    return _reduce_w(LaurentMatrix(rows), 2 * n)
 
 
 # -- Stokes bases and matrices -----------------------------------------------------------

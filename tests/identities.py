@@ -1,0 +1,264 @@
+"""Identities and helpers that several test files share and no program code
+calls: substitutions in Laurent polynomials, the product of K-classes, the
+shift operators at the variables (q, z1..zn) and their normal form at
+infinity, the scalar quantum differential equation, and the large-|s|
+asymptotics of the residue series.
+
+Not a test module (no `test_` prefix); pytest's default import mode puts
+`tests/` on sys.path, so the test files import it as `identities`.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass
+from operator import add
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from projqde.cohomology import NumericContext, cohom_vars
+from projqde.hypergeom import SolutionSeries
+from projqde.ktheory import KClass, _expand, _one_ring
+from projqde.qkz import qkz_operator
+from projqde.ring import LaurentMatrix, LaurentPoly, _norm_coeff, _pow_coeff, elementary_symmetric
+from projqde.stokes import W, _conjugate_by_e, _reduce_w
+
+# -- Laurent polynomials --------------------------------------------------------------
+
+
+def coefficient(p: LaurentPoly, name: str, power: int) -> LaurentPoly:
+    """Coefficient of name**power, as a poly in the remaining variables."""
+    return p.as_series(name).get(power, LaurentPoly.zero(tuple(v for v in p.vars if v != name)))
+
+
+def drop_vars(p: LaurentPoly, names: Iterable[str]) -> LaurentPoly:
+    """Remove variables that appear with exponent 0 in every term."""
+    drop = set(names)
+    keep = [i for i, v in enumerate(p.vars) if v not in drop]
+    for e in p.terms:
+        for i, v in enumerate(p.vars):
+            if v in drop and e[i] != 0:
+                raise ValueError(f"{v!r} occurs with nonzero exponent; cannot drop")
+    return LaurentPoly(
+        tuple(p.vars[i] for i in keep),
+        {tuple(e[i] for i in keep): c for e, c in p.terms.items()},
+    )
+
+
+def substitute_monomial(p: LaurentPoly, name: str, coeff, exps: Sequence[int]) -> LaurentPoly:
+    """Substitute variable `name` by coeff * (monomial in p.vars).
+
+    The monomial's slot for `name` itself must be zero.  Negative powers of
+    the substituted variable are fine because a (nonzero) monomial is a unit.
+    """
+    vs = p.vars
+    i = vs.index(name)
+    exps = tuple(exps)
+    if len(exps) != len(vs) or exps[i] != 0:
+        raise ValueError("substitution monomial must live in the same context with 0 in its own slot")
+    coeff = _norm_coeff(coeff)
+    if coeff == 0:
+        raise ValueError("substitution by zero is not a unit")
+
+    def moved(e):
+        return tuple(0 if j == i else x + e[i] * y for j, (x, y) in enumerate(zip(e, exps)))
+
+    return LaurentPoly(vs, ((moved(e), c * _pow_coeff(coeff, e[i])) for e, c in p._decoded()))
+
+
+def specialize(p: LaurentPoly, name: str, value) -> LaurentPoly:
+    """Substitute an exact rational value for one variable (exponent 0 result
+    slot kept); ZeroDivisionError for a negative power of it at zero."""
+    value = _norm_coeff(value)
+    i = p.vars.index(name)
+    pairs = ((e[:i] + (0,) + e[i + 1 :], c * _pow_coeff(value, e[i])) for e, c in p._decoded())
+    return LaurentPoly(p.vars, pairs)
+
+
+# -- K-classes ------------------------------------------------------------------------
+
+
+def mul_class(f: KClass, g: KClass) -> KClass:
+    """Product in the algebra: O(a) O(b) = O(a+b), characters multiplied."""
+    f, g = _one_ring([f, g])
+    terms = [(a * b, i + j) for i, a in enumerate(f._co) for j, b in enumerate(g._co)]
+    return KClass(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
+
+
+# -- shift operators at the variables (q, z1..zn) ----------------------------------------
+
+
+def qkz_vars(n: int) -> tuple[str, ...]:
+    return ("q",) + cohom_vars(n)
+
+
+def qkz_variables(n: int) -> list[LaurentPoly]:
+    """q, z1..zn as Laurent polynomials over qkz_vars(n)."""
+    return [LaurentPoly.variable(qkz_vars(n), v) for v in qkz_vars(n)]
+
+
+def qkz_operator_symbolic(i: int, n: int, basis: str = "g") -> LaurentMatrix:
+    """The i-th shift operator at the variables (q, z1..zn)."""
+    q, *z = qkz_variables(n)
+    return qkz_operator(i, q, z, basis)
+
+
+def qkz_normal_form(j: int, n: int) -> LaurentMatrix:
+    """Residue at s = 0 of E H(s)^{-1} K_j(s^n, z) H(s) E^{-1}, exactly, as a
+    matrix over (W, z1..zn); equals diag(zeta^{-m}) = diag(W^{-2m})."""
+    kx = qkz_operator_symbolic(j, n, basis="x")
+    svars = ("s",) + cohom_vars(n)
+    rows = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            p = kx[a, b]
+            qi = p.vars.index("q")
+            terms = (((e[qi] * n,) + e[1:], c) for e, c in p.terms.items())
+            row.append(LaurentPoly(svars, terms) * LaurentPoly.variable(svars, "s", a - b))
+        rows.append(row)
+    res = [[coefficient(rows[a][b], "s", -1) for b in range(n)] for a in range(n)]
+    wz = (W,) + cohom_vars(n)
+    return _conjugate_by_e(LaurentMatrix([[p.with_vars(wz) for p in row] for row in res]))
+
+
+def qkz_normal_form_expected(n: int) -> LaurentMatrix:
+    wz = (W,) + cohom_vars(n)
+    rows = [[LaurentPoly.zero(wz) for _ in range(n)] for _ in range(n)]
+    for m in range(n):
+        rows[m][m] = LaurentPoly.variable(wz, W, (-2 * m) % (2 * n))
+    return _reduce_w(LaurentMatrix(rows), 2 * n)
+
+
+# -- the scalar equation --------------------------------------------------------------
+
+
+class ScalarSeries:
+    """Truncated series q^{expo} sum_d c_d q^d with field-generic coefficients."""
+
+    def __init__(self, expo, coeffs: Sequence, order: int):
+        coeffs = list(coeffs)
+        if len(coeffs) != order + 1:
+            raise ValueError("need order+1 coefficients")
+        self.expo = expo
+        self.coeffs = coeffs
+        self.order = order
+
+    def theta(self) -> "ScalarSeries":
+        """Apply q d/dq: multiply c_d by (expo + d)."""
+        return ScalarSeries(
+            self.expo, [c * (self.expo + d) for d, c in enumerate(self.coeffs)], self.order
+        )
+
+    def theta_power(self, k: int) -> "ScalarSeries":
+        out = self
+        for _ in range(k):
+            out = out.theta()
+        return out
+
+    def shift_by_q(self) -> "ScalarSeries":
+        """Multiply by q (drop the coefficient beyond the truncation order)."""
+        return ScalarSeries(self.expo, [0 * self.coeffs[0]] + self.coeffs[:-1], self.order)
+
+    def scale(self, c) -> "ScalarSeries":
+        return ScalarSeries(self.expo, [x * c for x in self.coeffs], self.order)
+
+    def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
+        return ScalarSeries(
+            self.expo, [a - b for a, b in zip(self.coeffs, other.coeffs)], self.order
+        )
+
+    def __add__(self, other: "ScalarSeries") -> "ScalarSeries":
+        return ScalarSeries(
+            self.expo, [a + b for a, b in zip(self.coeffs, other.coeffs)], self.order
+        )
+
+    def is_zero(self, tol: float = 0.0) -> bool:
+        """Every coefficient zero over an exact field; at most tol in absolute
+        value over the reals or the complex numbers."""
+        return all(abs(c) <= tol if isinstance(c, (float, complex)) else c == 0 for c in self.coeffs)
+
+
+def scalar_qde_residual(phi: ScalarSeries, n: int, z: Sequence) -> ScalarSeries:
+    """Residual of the scalar equation
+    theta^n phi - (q + (-1)^{n-1} s_n(z)) phi - sum_j (-1)^{n-j-1} s_{n-j}(z)
+    theta^j phi; zero iff phi solves it to the truncation order."""
+    res = phi.theta_power(n)
+    res = res - phi.shift_by_q()
+    sn = elementary_symmetric(list(z), n)
+    res = res - phi.scale(sn if (n - 1) % 2 == 0 else -sn)
+    for j in range(1, n):
+        s = elementary_symmetric(list(z), n - j)
+        sign = 1 if (n - j - 1) % 2 == 0 else -1
+        res = res - phi.theta_power(j).scale(sign * s)
+    return res
+
+
+# -- the residue series ---------------------------------------------------------------
+
+
+def series_coefficient(series: SolutionSeries, r: int) -> np.ndarray:
+    """Restriction vector of the coefficient of q^{z_J + r} of a residue
+    series (without the transcendental prefactor); rational in the parameters."""
+    v = series._c0
+    for l in range(r):
+        v = v * series._sign / series._divs[l]
+    return v * series._nums[r]
+
+
+@dataclass(frozen=True)
+class BranchContext:
+    """Bookkeeping for powers q^M = exp(M log q) on the universal cover.
+
+    phi parametrizes the ray through s = r e^{-2 pi i phi}, q = s^n; a full
+    counterclockwise turn of q decreases phi by 1/n.
+    """
+
+    phi: float = 0.0
+
+    def s_value(self, r: float) -> complex:
+        return r * cmath.exp(-2j * cmath.pi * self.phi)
+
+    def log_s(self, r: float) -> complex:
+        return math.log(r) - 2j * cmath.pi * self.phi
+
+    def q_value(self, r: float, n: int) -> complex:
+        return self.s_value(r) ** n
+
+    def log_q(self, r: float, n: int) -> complex:
+        return n * self.log_s(r)
+
+
+def _adaptive_order(n: int, abs_q: float) -> int:
+    return max(60, int(4 * n * abs_q ** (1.0 / n)) + 40)
+
+
+def scaled_element_asymptotic_ratio(
+    weights: Sequence[complex], tag: int, r: float, branch: BranchContext, ctx: NumericContext
+) -> complex:
+    """Ratio of a rescaled basis element (given by its weights on the residue
+    series) to the normalized prediction ((2 pi)^{(n-1)/2}/sqrt n)
+    e^{-i pi (n-1)/2} (zeta^tag s)^{sum z + (n-1)/2} e^{n s zeta^tag}, with
+    arg(zeta^tag s) = 2 pi tag/n - 2 pi phi (continuous in phi, principal near
+    the top edge of the base sector)."""
+    n = ctx.n
+    q = branch.q_value(r, n)
+    lq = branch.log_q(r, n)
+    order = _adaptive_order(n, abs(q))
+    series = [SolutionSeries(J, ctx, order) for J in range(1, n + 1)]
+    got = sum(w * s.restrictions(q, lq)[0] for w, s in zip(weights, series))
+    total = sum(ctx.z)
+    lam = total + (n - 1) / 2
+    zeta = cmath.exp(2j * cmath.pi / n)
+    s = branch.s_value(r)
+    arg = 2 * cmath.pi * tag / n - 2 * cmath.pi * branch.phi
+    predicted = (
+        (2 * cmath.pi) ** ((n - 1) / 2)
+        / math.sqrt(n)
+        * cmath.exp(-1j * cmath.pi * (n - 1) / 2)
+        * cmath.exp(lam * (math.log(r) + 1j * arg))
+        * cmath.exp(n * s * zeta**tag)
+    )
+    return got / predicted

@@ -116,6 +116,14 @@ def test_verify_all_fails_on_any_stokes_verdict(capsys, monkeypatch):
     assert (captured.out, captured.err) == ("", "FAILED: verification failed: stokes_gram\n")
 
 
+def test_verify_all_fails_on_the_left_dual_verdict(capsys, monkeypatch):
+    # verify-all reports that the basis on e^{i pi} V is the left dual of the one on V
+    monkeypatch.setattr(stokes, "half_turn_is_left_dual", lambda *a: False)
+    assert main(["verify-all", "--n", "2", "--fast"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "FAILED: verification failed: half_turn_left_dual\n")
+
+
 @pytest.mark.parametrize("order", ["40", "120"])
 def test_psi_refuses_an_unconverged_series(capsys, order):
     # at q = 1e4 the terms q^d/(d!)^2 still grow at the cut-off
@@ -140,6 +148,24 @@ def test_unconverged_series_exit_2(capsys, argv, q, what):
     assert main(argv + ["--q", q]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {what} series not converged at q = {q} by --order 40\n")
+
+
+@pytest.mark.parametrize("solution", ["levelt", "top"])
+def test_solve_qde_at_large_q_by_a_high_order(capsys, solution):
+    # both series converge at q = 1e3 by order 120, though q^119 alone
+    # overflows a double: the terms are summed by Horner's rule or formed as
+    # one exponential each
+    argv = ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e3", "--order", "120", "--solution", solution]
+    assert main(argv) == 0
+    assert float(json.loads(capsys.readouterr().out)["ode_residual"]) <= 1e-8
+
+
+def test_exact_formal_reduce_refuses_a_high_order(capsys):
+    # the exact rank-2 coefficients grow with the order; the numeric path takes any
+    assert main(["formal-reduce", "--n", "2", "--order", "21"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: exact formal reduction takes --order at most 20; pass --z\n")
+    assert main(["formal-reduce", "--n", "2", "--z", "0.1,0.4", "--order", "60"]) == 0
 
 
 def test_bad_usage_exit_2(capsys):
@@ -247,15 +273,19 @@ def test_a_flag_the_command_does_not_read_is_refused(capsys, argv):
     "argv",
     [
         ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"],
+        # nothing overflows at 1e8: the one line names the unconverged series
         ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--q", "1e8"],
         ["psi", "--n", "2", "--z", "0.1,0.4", "--q", "1e30"],  # NaN restrictions
+        ["solve-qde", "--n", "2", "--z", "0.1,0.4", "--solution", "top", "--q", "1e30"],
     ],
 )
 def test_overflow_at_large_q_names_q(capsys, argv):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: numeric overflow at q = {argv[-1]}")
+    q = argv[-1]
+    want = "qDE series not converged at q = 1e8 by --order 40" if q == "1e8" else f"numeric overflow at q = {q}"
+    assert captured.err.startswith(f"error: {want}")
     assert len(captured.err.splitlines()) == 1
 
 

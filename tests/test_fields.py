@@ -19,8 +19,10 @@ from projqde.cohomology import (
 )
 from projqde.hypergeom import fundamental_matrix
 from projqde.qde import a_series_coefficients, levelt_coefficients, system_matrices
-from projqde.qkz import qkz_operator, qkz_vars
+from projqde.qkz import qkz_operator
 from projqde.ring import LaurentMatrix, LaurentPoly
+
+from identities import qkz_vars, specialize
 
 TOL = 1e-12
 ORDER = 8
@@ -35,7 +37,7 @@ def close(got, want, tol=TOL) -> bool:
 
 def value(p: LaurentPoly, point: dict) -> Fraction:
     for name in p.vars:
-        p = p.specialize(name, point[name])
+        p = specialize(p, name, point[name])
     return p.constant_value()
 
 

@@ -1,25 +1,65 @@
 """R-matrix algebra and qKZ shift operators: Yang-Baxter, inversion, the
 closed-form rank-2 shift matrix, and exact compatibility of the joint system."""
 
+from functools import reduce
+from operator import matmul
+
 import numpy as np
 import pytest
 
 from projqde.cohomology import NumericContext
-from projqde.qde import levelt_series
-from projqde.qkz import (
-    difference_residual,
-    formal_derivative,
-    qde_compat_residual,
-    qkz_compat_residual,
-    qkz_inverse_product_symbolic,
-    qkz_operator,
-    qkz_operator_symbolic,
-    qkz_vars,
-    r_matrix,
-    shift_matrix,
-    shift_poly,
-)
+from projqde.qde import levelt_series, system_matrices
+from projqde.qkz import _slot_matrix, difference_residual, qkz_operator, r_matrix
 from projqde.ring import LaurentMatrix, LaurentPoly
+
+from identities import qkz_operator_symbolic, qkz_variables, qkz_vars
+
+
+def shift_poly(p: LaurentPoly, name: str, delta: int) -> LaurentPoly:
+    """Substitute name -> name + delta (nonnegative exponents only)."""
+    base = LaurentPoly.variable(p.vars, name) + LaurentPoly.constant(p.vars, delta)
+    series = p.as_series(name)
+    if any(k < 0 for k in series):
+        raise ValueError(f"cannot shift negative power of {name}")
+    return LaurentPoly.sum_of_products(p.vars, ((c.with_vars(p.vars), base**k) for k, c in series.items()))
+
+
+def shift_matrix(m: LaurentMatrix, name: str, delta: int) -> LaurentMatrix:
+    return m.map(lambda p: shift_poly(p, name, delta))
+
+
+def formal_derivative(p: LaurentPoly, name: str) -> LaurentPoly:
+    i = p.vars.index(name)
+    return LaurentPoly(p.vars, ((e[:i] + (e[i] - 1,) + e[i + 1 :], c * e[i]) for e, c in p.terms.items()))
+
+
+def qkz_inverse_product_symbolic(i: int, n: int) -> LaurentMatrix:
+    """R-matrix product form of the inverse shift operator taken at z_i + 1:
+    R_{i+1,i}(z_{i+1}-z_i-1)..R_{n,i}(z_n-z_i-1) q^{E_i} R_{1,i}(z_1-z_i)..R_{i-1,i}(z_{i-1}-z_i)."""
+    q, *z = qkz_variables(n)
+    factors = [r_matrix(j, i, z[j - 1] - z[i - 1] - 1, n) for j in range(i + 1, n + 1)]
+    factors.append(_slot_matrix(i, n, q))
+    factors += [r_matrix(j, i, z[j - 1] - z[i - 1], n) for j in range(1, i)]
+    return reduce(matmul, factors)
+
+
+def qde_compat_residual(i: int, n: int) -> LaurentMatrix:
+    """d/dq K_i(q,z) - [A(q, z - e_i) K_i(q,z) - K_i(q,z) A(q,z)], symbolically;
+    zero iff the shift operator is compatible with the differential equation."""
+    q, *z = qkz_variables(n)
+    k = qkz_operator(i, q, z, basis="x")
+    a0, a1 = system_matrices(n, z)
+    a = a0 + a1 * q**-1
+    a_shift = shift_matrix(a, f"z{i}", -1)
+    dk = k.map(lambda p: formal_derivative(p, "q"))
+    return dk - (a_shift * k - k * a)
+
+
+def qkz_compat_residual(i: int, j: int, n: int) -> LaurentMatrix:
+    """K_i(q, z - e_j) K_j(q, z) - K_j(q, z - e_i) K_i(q, z), symbolically."""
+    ki = qkz_operator_symbolic(i, n, basis="x")
+    kj = qkz_operator_symbolic(j, n, basis="x")
+    return shift_matrix(ki, f"z{j}", -1) * kj - shift_matrix(kj, f"z{i}", -1) * ki
 
 
 def uvars(n):

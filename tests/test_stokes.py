@@ -13,9 +13,9 @@ from scipy.optimize import linear_sum_assignment
 
 from projqde import stokes
 from projqde.cohomology import NumericContext, cohom_vars
-from projqde.hypergeom import QSolution, scaled_element_asymptotic_ratio
+from projqde.hypergeom import QSolution
 from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix, to_z
-from projqde.qde import BranchContext
+from projqde.qde import system_matrices
 from projqde.ring import LaurentMatrix, LaurentPoly, evars, reduce_root_of_unity, sym_poly, zvars
 from projqde.stokes import (
     W,
@@ -23,31 +23,39 @@ from projqde.stokes import (
     FormalSolution,
     SectorId,
     _at_unity_roots,
+    _conjugate_by_e,
     _evaluate,
     _formal_monodromy_char_residual,
+    _reduce_w,
     _rk4_linear,
     antisymmetric_v_exact,
     dubrovin_bridge,
     e_matrix,
-    e_matrix_identities,
+    e_matrix_exact,
     formal_reduce_exact_rank2,
     formal_reduce_numeric,
     gauge_substitution_residual_orders,
     gram_orthonormal_at_unity,
     gram_stokes_check,
     half_turn_is_left_dual,
-    qkz_normal_form,
-    qkz_normal_form_expected,
     roots_of_unity_suite,
     scalar_collapse_residual,
     shear_coeffs,
-    shear_consistency_residual,
     stirling_value_checks,
     stokes_basis,
     stokes_matrices,
     stokes_gram,
     stokes_normalization,
     stokes_trivial_at_unity,
+)
+
+from identities import (
+    BranchContext,
+    drop_vars,
+    qkz_normal_form,
+    qkz_normal_form_expected,
+    scaled_element_asymptotic_ratio,
+    substitute_monomial,
 )
 
 
@@ -72,6 +80,36 @@ def test_shear_b0_eigenvalues():
     assert np.allclose(ev, want, atol=1e-10)
 
 
+def shear_consistency_residual(n: int) -> LaurentMatrix:
+    """B(s,z) - n s^{n-1} (H^{-1} A(s^n) H - H^{-1} dH/dq), symbolically; zero
+    iff the printed coefficients match the shearing transformation."""
+    vs = ("s",) + cohom_vars(n)
+    s = LaurentPoly.variable(vs, "s")
+    coeffs = [m.map(lambda p: p.with_vars(vs)) for m in shear_coeffs(n)]
+    lhs = coeffs[0]
+    for j in range(1, n + 1):
+        lhs = lhs + coeffs[j].map(lambda p: p * s ** (-j))
+    a0, a1 = system_matrices(n)
+    a0 = a0.map(lambda p: p.with_vars(vs))
+    a1 = a1.map(lambda p: p.with_vars(vs) * s ** (-n))
+    a = a0 + a1
+    # H = diag(s^{-(alpha-1)}): conjugation scales entry (a,b) by s^{a-b};
+    # -n s^{n-1} H^{-1} dH/dq = diag(alpha-1)/s.
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            row.append(a[i, j] * s ** (i - j) * n * s ** (n - 1))
+        rows.append(row)
+    rhs = LaurentMatrix(rows)
+    diag = LaurentMatrix.identity(n, vs).entries
+    diag = [list(r) for r in diag]
+    for i in range(n):
+        diag[i][i] = LaurentPoly.constant(vs, i) * s**-1
+    rhs = rhs + LaurentMatrix(diag)
+    return lhs - rhs
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_shear_consistency_symbolic(n):
     r = shear_consistency_residual(n)
@@ -91,6 +129,29 @@ def test_e_matrix_numeric_inverse():
     for n in (2, 3, 4, 5):
         e, einv = e_matrix(n)
         assert np.max(np.abs(e @ einv - np.eye(n))) < 1e-14
+
+
+def e_matrix_identities(n: int) -> dict:
+    """Exact checks: E E^{-1} = 1, E B_0 E^{-1} = diag(n zeta^m),
+    (E^{-1})^T eta_cl E^{-1} = 1, and diag(E B_1 E^{-1}) = (s_1 + (n-1)/2) 1."""
+    vs = (W,) + cohom_vars(n)
+    one = LaurentMatrix.identity(n, vs)
+    bs = shear_coeffs(n)
+    want0 = [[LaurentPoly.zero(vs) for _ in range(n)] for _ in range(n)]
+    for m in range(n):
+        want0[m][m] = LaurentPoly.variable(vs, W, 2 * m) * n
+    eta = [[LaurentPoly.constant(vs, 1 if a + b == n - 1 else 0) for b in range(n)] for a in range(n)]
+    _, einv = e_matrix_exact(n, cohom_vars(n))
+    conj1 = _conjugate_by_e(bs[1])
+    lam = reduce_root_of_unity(
+        sym_poly("elementary", 1, n, prefix="z").with_vars(vs) + Fraction(n - 1, 2), W, 2 * n
+    )
+    return {
+        "inverse": _conjugate_by_e(one) == one,
+        "diagonalizes": _conjugate_by_e(bs[0]) == _reduce_w(LaurentMatrix(want0), 2 * n),
+        "orthonormal": _reduce_w(einv.transpose() * LaurentMatrix(eta) * einv * Fraction(1, n), 2 * n) == one,
+        "level": all(conj1[m, m] == lam for m in range(n)),
+    }
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -392,8 +453,8 @@ def specialize_to_unity_roots(p, n):
     vs = ("V",) + zvars(n)
     q = p.with_vars(vs)
     for m in range(1, n + 1):
-        q = q.substitute_monomial(f"Z{m}", 1, (m - 1,) + (0,) * n)
-    return reduce_root_of_unity(q.drop_vars(zvars(n)), "V", n)
+        q = substitute_monomial(q, f"Z{m}", 1, (m - 1,) + (0,) * n)
+    return reduce_root_of_unity(drop_vars(q, zvars(n)), "V", n)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
