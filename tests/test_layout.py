@@ -23,7 +23,7 @@ def _used_names(node: ast.AST) -> set[str]:
     return out
 
 
-def program_only_in_tests() -> list[str]:
+def without_program_caller() -> list[str]:
     """module.name of each module-level definition of `src/projqde` that no
     code outside itself uses, counting as dead, round by round, the
     definitions that only dead ones use."""
@@ -47,4 +47,5 @@ def program_only_in_tests() -> list[str]:
 
 
 def test_every_library_definition_has_a_program_caller():
-    assert program_only_in_tests() == []
+    unused = without_program_caller()
+    assert not unused, "no program code calls " + ", ".join(unused)
