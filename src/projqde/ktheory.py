@@ -6,8 +6,9 @@ coordinates in the line-bundle basis O(0)..O(n-1), where the Euler pairing is
 chi(f, g) = (f^*H) g with H the fixed Beilinson Gram matrix, H_ab =
 chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  A caller that
 pairs f with several classes computes the columns f^*H once and keeps them no
-longer than its own call; `braid_act` carries them through its moves (f - c e
-has the columns f^*H - c^* e^*H) and checks chi(e, e) = 1 once per pivot.
+longer than its own call.  `braid_act` carries the Gram matrix of its slots
+instead, through each move's change of basis, and reads each coefficient and
+each pivot's chi(e, e) = 1 off it.
 
 A class takes one of three storage forms, chosen by the input:
 
@@ -426,46 +427,22 @@ def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
     return LaurentMatrix(rows)
 
 
-def _mutation(side: str, e: KClass, ecols, f: KClass, fcols):
-    """f - c e, c = chi(e,f) (left) or chi(f,e)^* (right), with its columns f^*H - c^* e^*H
-    from those of the pivot e and of f; None columns for fcols None (allowed on the left).
-    Characters stay out, L_{Z^a e}(Z^b f) = Z^b L_e f and so for R: the result takes f's."""
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    c = _pair(ecols, f) if side == "left" else _pair(fcols, e).dual()
-    one = LaurentPoly.one(c.vars)
-
-    def minus(xs, ys, s):  # x - y s for each pair (x, y), summed into one dict each
-        return tuple(LaurentPoly.sum_of_products(c.vars, ((x, one), (y, -s))) for x, y in zip(xs, ys))
-
-    return KClass(minus(f._co, e._co, c), f._char), fcols and minus(fcols, ecols, c.dual())
+def _mutation(f: KClass, e: KClass, m: LaurentPoly) -> KClass:
+    """f + m e over the common ring of f and e, with f's character: mutations keep
+    characters out, L_{Z^a e}(Z^b f) = Z^b L_e f and so for R."""
+    return KClass((x.plus_product(y, m) for x, y in zip(f._co, e._co)), f._char)
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
     """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     e, f = _one_ring([e, f])
-    return _mutation(side, e, _Slot(e, "").pivot(), f, _columns(f) if side == "right" else None)[0]
-
-
-class _Slot:
-    """A class with its label, its columns f^*H (None until first needed) and
-    whether it passed its pivot check; `braid_act` moves slots, for one call."""
-
-    __slots__ = ("el", "label", "cols", "checked")
-
-    def __init__(self, el: KClass, label: str, cols=None):
-        self.el, self.label, self.cols, self.checked = el, label, cols, False
-
-    def columns(self) -> tuple[LaurentPoly, ...]:
-        self.cols = self.cols or _columns(self.el)
-        return self.cols
-
-    def pivot(self) -> tuple[LaurentPoly, ...]:
-        """The columns, after the check chi(e,e) = 1 on first use as a pivot."""
-        if not self.checked and _pair(self.columns(), self.el) != 1:
-            raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
-        self.checked = True
-        return self.cols
+    cols = _columns(e)
+    if _pair(cols, e) != 1:
+        raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
+    c = _pair(cols, f) if side == "left" else _pair(_columns(f), e).dual()
+    return _mutation(f, e, -c)
 
 
 # -- braid words and the braid action -----------------------------------------------
@@ -501,33 +478,53 @@ class BraidWord:
         return "".join(f"t{t}" if t > 0 else f"t{-t}'" for t in self.letters)
 
 
-def _move_right(slots: list[_Slot], i: int) -> None:
-    """Collection move at slot i (1-based): (.., e_i, e_{i+1}, ..) ->
-    (.., e_{i+1}, R_{e_{i+1}} e_i, ..)."""
-    e, f = slots[i - 1], slots[i]
-    new, cols = _mutation("right", f.el, f.pivot(), e.el, e.columns())
-    slots[i - 1], slots[i] = f, _Slot(new, f"R({e.label}|{f.label})", cols)
+def _gram_step(rows: list, a: int, b: int, m: LaurentPoly, md: LaurentPoly) -> None:
+    """The made rows of the slots' Gram matrix after x_a -> x_a + m x_b, md = m^*:
+    column a gains column b times m, then row a gains md times row b; rows a and b are made."""
+    for row in filter(None, rows):
+        row[a] = row[a].plus_product(row[b], m)
+    rows[a] = [x.plus_product(y, md) for x, y in zip(rows[a], rows[b])]
 
 
-def _move_left(slots: list[_Slot], i: int) -> None:
-    """Inverse collection move: (.., e_i, e_{i+1}, ..) -> (.., L_{e_i} e_{i+1}, e_i, ..)."""
-    e, f = slots[i - 1], slots[i]
-    new, cols = _mutation("left", e.el, e.pivot(), f.el, f.cols)
-    slots[i - 1], slots[i] = _Slot(new, f"L({f.label}|{e.label})", cols), e
+def _move(els: list, labels: list, rows: list, a: int, b: int, side: str) -> None:
+    """x_a -> x_a + m x_b by the pivot x_b, m = -chi(x_a, x_b)^* (side R) or
+    -chi(x_b, x_a) (side L) read off the carried Gram matrix; then slots a and
+    b swap.  A slot's row chi(x_r, -) is paired from its own columns on its first move."""
+    for r in (a, b):
+        if rows[r] is None:
+            cols = _columns(els[r])
+            rows[r] = [_pair(cols, x) for x in els]
+    if rows[b][b] != 1:
+        raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
+    m, md = (-rows[a][b].dual(), -rows[a][b]) if side == "R" else (-rows[b][a], -rows[b][a].dual())
+    els[a], labels[a] = _mutation(els[a], els[b], m), f"{side}({labels[a]}|{labels[b]})"
+    _gram_step(rows, a, b, m, md)
+    for xs in [els, labels, rows, *filter(None, rows)]:
+        xs[a], xs[b] = xs[b], xs[a]
+
+
+def _move_right(els: list, labels: list, rows: list, i: int) -> None:
+    """Collection move at slot i (1-based): (.., e, f, ..) -> (.., f, R_f e, ..)."""
+    _move(els, labels, rows, i - 1, i, "R")
+
+
+def _move_left(els: list, labels: list, rows: list, i: int) -> None:
+    """Inverse collection move: (.., e, f, ..) -> (.., L_e f, e, ..)."""
+    _move(els, labels, rows, i, i - 1, "L")
 
 
 def braid_act(word: BraidWord, basis: ExceptionalBasis, verify: bool = True) -> ExceptionalBasis:
     """Left action of a braid word: generator tau_i acts as the slot move at
     n - i, inverse letters as the inverse move.  Letters apply right to left.
-    The final check pairs the returned classes afresh, not the moved columns."""
+    The final check pairs the returned classes afresh, not the carried Gram matrix."""
     n = basis.n
-    slots = [_Slot(e, label) for e, label in zip(_one_ring(basis.elements), basis.labels)]
+    els, labels, rows = _one_ring(basis.elements), list(basis.labels), [None] * n
     for t in reversed(word.letters):
         i = n - abs(t)
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {abs(t)} out of range for rank {n}")
-        (_move_right if t > 0 else _move_left)(slots, i)
-    out = ExceptionalBasis([s.el for s in slots], [s.label for s in slots], verify=False)
+        (_move_right if t > 0 else _move_left)(els, labels, rows, i)
+    out = ExceptionalBasis(els, labels, verify=False)
     if verify and not out.is_exceptional():
         raise ArithmeticError("braid action produced a non-exceptional basis")
     return out
@@ -552,23 +549,18 @@ def braid_constants(name: str, n: int) -> BraidWord:
     if name == "delta_even":
         return BraidWord(tuple(range(2, n, 2)))
     if name in ("sigma_odd", "sigma_even"):
-        first = "delta_odd" if name == "sigma_odd" else "delta_even"
-        second = "delta_even" if name == "sigma_odd" else "delta_odd"
-        word = BraidWord(())
-        for r in range(n):
-            word = word * braid_constants(first if r % 2 == 0 else second, n)
-        return word
+        k = name == "sigma_even"  # sigma_odd starts with delta_odd, sigma_even with delta_even
+        halves = [braid_constants(d, n).letters for d in ("delta_odd", "delta_even")]
+        return BraidWord(sum((halves[(r + k) % 2] for r in range(n)), ()))
     raise ValueError(f"unknown braid constant {name!r}")
 
 
 def dual_basis(side: str, basis: ExceptionalBasis) -> ExceptionalBasis:
     """Left dual (half-twist image) or right dual (its inverse image)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     beta = braid_constants("beta", basis.n)
-    if side == "left":
-        return braid_act(beta, basis)
-    if side == "right":
-        return braid_act(beta.inverse(), basis)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return braid_act(beta if side == "left" else beta.inverse(), basis)
 
 
 # -- canonical operator and Diophantine constraints ----------------------------------

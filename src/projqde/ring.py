@@ -296,13 +296,15 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     @classmethod
-    def sum_of_products(cls, vars: Sequence[str], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]):
-        """sum a * b over the pairs (a, b) of polynomials in the context vars,
-        summed into one dict; its bound is the largest a._b + b._b over the
-        pairs whose factors are both nonzero."""
+    def sum_of_products(cls, vars: Sequence[str], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]], start=None):
+        """start (zero if None) plus sum a * b over the pairs (a, b) of polynomials
+        in the context vars, summed into one dict after start's terms; its bound is
+        the largest of start's and of a._b + b._b over the pairs whose factors are
+        both nonzero."""
         vs = tuple(vars)
-        tm: dict[int, Fraction | int] = {}
-        b = 0
+        if start is not None and start.vars != vs:
+            raise ValueError(f"variable-context mismatch: {start.vars} in {vs}")
+        tm, b = ({}, 0) if start is None else (dict(start._t), start._b)
         for p, q in pairs:
             if p.vars != vs or q.vars != vs:
                 raise ValueError(f"variable-context mismatch: {p.vars} * {q.vars} in {vs}")
@@ -313,6 +315,12 @@ class LaurentPoly:
                 _add_product(tm, p._t, q._t)
                 b = max(b, bp)
         return cls._raw(vs, tm, b)
+
+    def plus_product(self, y: "LaurentPoly", s: "LaurentPoly") -> "LaurentPoly":
+        """self + y * s, summed as `sum_of_products` sums (self, 1), (y, s); self if y or s is 0."""
+        if y._t and s._t or y.vars != self.vars or s.vars != self.vars:
+            return LaurentPoly.sum_of_products(self.vars, ((y, s),), self)
+        return self
 
     def __truediv__(self, other) -> "RationalFn":
         """Division lands in the field of fractions."""

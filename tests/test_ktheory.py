@@ -244,23 +244,37 @@ def test_verification_checks_the_classes(monkeypatch):
     assert orbit.is_exceptional() and not _swapped(orbit, 1, 3).is_exceptional()
     torus = _scaled(beilinson_basis(4), [(1, 0, -1, 2), (0, 2, 0, 0), (-1, -1, 0, 1), (3, 0, 0, -2)])
     assert torus.is_exceptional() and not _swapped(torus, 0, 2).is_exceptional()
-    # a wrong class is caught although it arrives with the columns the
-    # mutation formula gives: the final check pairs the returned classes.
-    # It adds the pivot e itself (over Z1..Zn when the characters differ), or
-    # e moved to the character of the new class, so that the sum keeps
-    # R(GL_n) coordinates times one character
+    # a wrong class is caught although the carried Gram matrix stays right:
+    # the final check pairs the returned classes.  It adds the pivot e itself
+    # (over Z1..Zn when the characters differ), or e moved to the character of
+    # the new class, so that the sum keeps R(GL_n) coordinates times one character
     mutation_ok = ktheory._mutation
     for moved in (lambda e, new: e, lambda e, new: e.scale(_character(new, e))):
 
-        def wrong_class(side, e, ecols, f, fcols, moved=moved):
-            new, cols = mutation_ok(side, e, ecols, f, fcols)
-            return new + moved(e, new), cols
+        def wrong_class(f, e, m, moved=moved):
+            new = mutation_ok(f, e, m)
+            return new + moved(e, new)
 
         monkeypatch.setattr(ktheory, "_mutation", wrong_class)
         for basis in (orbit, torus):
             for letter in (2, -1):
                 with pytest.raises(ArithmeticError):
                     braid_act(BraidWord((letter,)), basis)
+    monkeypatch.setattr(ktheory, "_mutation", mutation_ok)
+
+    # a wrong carried Gram matrix is caught once a later move reads a
+    # coefficient from it: the row update takes m in place of its dual md
+    def dropped_dual(rows, a, b, m, md):
+        for row in rows:
+            if row is not None:
+                row[a] = row[a].plus_product(row[b], m)
+        rows[a] = [x.plus_product(y, m) for x, y in zip(rows[a], rows[b])]
+
+    monkeypatch.setattr(ktheory, "_gram_step", dropped_dual)
+    for basis in (orbit, torus):
+        for letters in ((1, 2), (-1, -1)):
+            with pytest.raises(ArithmeticError):
+                braid_act(BraidWord(letters), basis)
 
 
 def _character(f, g):
@@ -444,10 +458,35 @@ def a_pair(f: KClass, g: KClass) -> LaurentPoly:
     return chi_pair(g, f).dual()
 
 
+def a_via_localization(f: KClass, g: KClass) -> RationalFn:
+    """A(f, g) by localization, written for the opposite-order pairing itself:
+    sum_a f(Z_a, Z)^* g(Z_a, Z) / prod_{j != a} (1 - Z_j/Z_a), f and g taken
+    at the fixed point a."""
+    zv = zvars(f.n)
+    one = LaurentPoly.one(zv)
+    total = RationalFn(LaurentPoly.zero(zv))
+    for a, (fa, ga) in enumerate(zip(f.restrictions(), g.restrictions()), start=1):
+        den = one
+        for j in range(1, f.n + 1):
+            if j != a:
+                den = den * (one - LaurentPoly.variable(zv, f"Z{j}") * LaurentPoly.variable(zv, f"Z{a}", -1))
+        total = total + RationalFn(fa.dual() * ga, den)
+    return total
+
+
 def test_a_pair_is_opposite_order_dual():
-    n = 3
-    f, g = line(n, 1), line(n, -1)
-    assert a_pair(f, g) == chi_pair(g, f).dual()
+    rng = random.Random(44)
+    for n in (2, 3, 4):
+        mutated = braid_act(BraidWord((1, -(n - 1))), beilinson_basis(n)).elements
+        torus = line(n, 1).scale(LaurentPoly.monomial(zvars(n), [rng.randint(-1, 1) for _ in range(n)]))
+        classes = [line(n, 1), line(n, -1), mutated[-1], torus, rand_kclass(rng, n)]
+        for f in classes:
+            for g in classes:
+                got = a_pair(f, g)
+                assert (a_via_localization(f, g) - RationalFn(got)).is_zero()
+        # A is not chi: the two differ on a pair of line bundles
+        f, g = line(n, 0), line(n, 1)
+        assert a_pair(f, g) != chi_pair(f, g)
 
 
 # -- Gram matrices and mutations ----------------------------------------------
@@ -571,6 +610,36 @@ def test_braid_act_is_the_fold_of_mutations(case):
     else:
         assert got is not ValueError
         assert list(got.elements) == want[0] and list(got.labels) == want[1]
+
+
+def _long_word_bases(n):
+    """The Beilinson basis, Qpt twisted by -1, the Beilinson basis scaled by
+    torus characters, and Qpt with e_1 replaced by e_1 + e_n."""
+    rng = random.Random(40 + n)
+    qpt = structured_basis("Qpt", -1, n)
+    chars = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(n)]
+    els = list(qpt.elements)
+    els[0] = els[0] + els[-1]
+    return [beilinson_basis(n), qpt, _scaled(beilinson_basis(n), chars), ExceptionalBasis(els, qpt.labels, verify=False)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_long_braid_words_are_the_fold_of_mutations(n):
+    # words far longer than the drawn ones, so the carried Gram matrix goes
+    # through many moves before its coefficients are read
+    cox, beta = braid_constants("C", n), braid_constants("beta", n)
+    outcomes = set()
+    for basis in _long_word_bases(n):
+        for word in (cox**-n, beta**2, beta * cox.inverse()):
+            got = _outcome(lambda: braid_act(word, basis, verify=False))
+            want = _outcome(lambda: _fold_of_mutations(word, basis))
+            outcomes.add(want is ValueError)
+            if want is ValueError:
+                assert got is ValueError
+            else:
+                assert got is not ValueError
+                assert list(got.elements) == want[0] and list(got.labels) == want[1]
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("n", [3, 5])

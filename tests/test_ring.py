@@ -490,6 +490,11 @@ def test_sum_of_products_matches_products_and_sums(case):
     assert LaurentPoly.sum_of_products(vs, [(a, b), (b, a * -1)]).is_zero()
     assert LaurentPoly.sum_of_products(vs, []) == LaurentPoly.zero(vs)
     assert LaurentPoly.sum_of_products(vs, iter(pairs[1:2])) == pairs[1][0] * pairs[1][1]
+    # x + y s: x's terms, then the products, in the order of the sum of x 1 and y s
+    x, one = polys[4], LaurentPoly.one(vs)
+    got = x.plus_product(a, b)
+    assert list(got.terms.items()) == list(LaurentPoly.sum_of_products(vs, [(x, one), (a, b)]).terms.items())
+    assert x.plus_product(a, b - b) == x and (-x).plus_product(x, one).is_zero()
 
 
 def test_sum_of_products_fractions_and_contexts():
@@ -502,6 +507,16 @@ def test_sum_of_products_fractions_and_contexts():
         LaurentPoly.sum_of_products(V2, [(z1, LaurentPoly.one(V3))])
     with pytest.raises(ValueError):
         LaurentPoly.sum_of_products(V3, [(z1, z1)])
+    # a start term and the factors of x + y s live in the context too
+    assert LaurentPoly.sum_of_products(V2, [(half, z1)], z1) == z1 * Fraction(3, 2)
+    for thunk in (
+        lambda: LaurentPoly.sum_of_products(V3, [], z1),
+        lambda: z1.plus_product(LaurentPoly.one(V3), z1),
+        lambda: z1.plus_product(z1, LaurentPoly.one(V3)),
+        lambda: z1.plus_product(LaurentPoly.zero(V3), z1),
+    ):
+        with pytest.raises(ValueError):
+            thunk()
 
 
 def test_terms_is_a_read_only_view():
@@ -522,14 +537,21 @@ def test_exponents_past_the_slot_limit_raise():
     half = LaurentPoly.monomial(vs, (0, 2**30, 0, 0)) + 1
     # 2^30 + (2^30 - 1) fits in a slot; 2^30 + 2^30 would carry into the next
     below = LaurentPoly.monomial(vs, (0, 2**30 - 1, 0, 0))
-    for p in (half * below, LaurentPoly.sum_of_products(vs, [(half, below), (below, below - below)])):
+    for p in (
+        half * below,
+        LaurentPoly.sum_of_products(vs, [(half, below), (below, below - below)]),
+        LaurentPoly.zero(vs).plus_product(half, below),
+    ):
         assert p.terms == {(0, 2**31 - 1, 0, 0): 1, (0, 2**30 - 1, 0, 0): 1}
+    # a product with a zero factor adds nothing to the bound of x + y s
+    assert top.plus_product(half, half - half) == top
     # a pair with a zero factor adds nothing to the sum's bound
     assert LaurentPoly.sum_of_products(vs, [(top - top, top), (half, half - half)]).is_zero()
     for thunk in (
         lambda: half * half,
         lambda: half**2,
         lambda: LaurentPoly.sum_of_products(vs, [(below, below), (half, half)]),
+        lambda: below.plus_product(half, half),
         lambda: top * LaurentPoly.variable(vs, "E2", -1),
         lambda: LaurentPoly.monomial(vs, (0, 0, 0, 2**31)),
         lambda: LaurentPoly.monomial(vs, (0, 2**16, 0, 0)) ** -(2**15),
