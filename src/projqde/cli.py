@@ -53,16 +53,12 @@ def to_jsonable(obj):
         return {"kind": obj.kind, "k": obj.k}
     if isinstance(obj, bool) or obj is None:
         return obj
-    if isinstance(obj, Fraction):
-        return {"num": str(obj.numerator), "den": str(obj.denominator)}
     if isinstance(obj, int):
         return obj
     if isinstance(obj, float):
         return repr(obj)
     if isinstance(obj, complex):
         return _complex_json(obj)
-    if hasattr(obj, "to_json"):
-        return obj.to_json()
     return str(obj)
 
 

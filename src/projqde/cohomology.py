@@ -6,21 +6,23 @@ is reached through the Vandermonde matrix of the equivariant parameters.  On
 top: the Poincare pairing, the graded Chern character, the Gamma classes, and
 the K-theory-to-cohomology comparison morphism together with its matrix.
 
-Each formula is written once, over the scalar field of the parameters z:
-Fractions when every z_i is rational, complex numbers otherwise, and the
-variables z1..zn (Laurent polynomials, rational functions where a formula
-divides) when z is omitted.  `parameters` reads the field off the input and
+Each formula is written once, over the scalar field of the parameters z,
+which every builder takes explicitly: Fractions when every z_i is rational,
+complex numbers when every z_i is a number, and otherwise the values as
+given (Laurent polynomials for the formulas that do not divide, or a field
+the caller brings).  `parameters` reads the field off the input and
 `as_matrix` picks the container of a result: LaurentMatrix over Laurent
-polynomials, a complex ndarray over complex numbers, an object ndarray over
-Fractions and rational functions.  The numeric solutions of `qde` feed
-their recursions complex z even when z is rational; only their D and D^{-1},
-ill-conditioned at high rank, stay over the field of z and are rounded once.
+polynomials, a complex ndarray over complex numbers, an object ndarray
+otherwise.  The numeric solutions of `qde` feed their recursions complex z
+even when z is rational; only their D and D^{-1}, ill-conditioned at high
+rank, stay over the field of z and are rounded once.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +32,6 @@ import numpy as np
 from .ring import (
     LaurentMatrix,
     LaurentPoly,
-    RationalFn,
     complete_symmetric,
     elementary_symmetric,
     zvars,
@@ -49,21 +50,19 @@ def cohom_vars(n: int) -> tuple[str, ...]:
 
 
 def over_field(values: Sequence) -> list:
-    """The values over their common scalar field: Laurent polynomials and
-    rational functions as given, Fractions when every value is rational,
-    complex numbers otherwise."""
+    """The values over their common scalar field: Fractions when every value
+    is rational, complex numbers when every value is a number, and as given
+    otherwise (Laurent polynomials, or elements of a field the caller brings)."""
     values = list(values)
-    if all(isinstance(w, (LaurentPoly, RationalFn)) for w in values):
-        return values
-    if all(isinstance(w, (int, Fraction)) for w in values):
+    if all(isinstance(w, numbers.Rational) for w in values):
         return [Fraction(w) for w in values]
-    return [complex(w) for w in values]
+    if all(isinstance(w, numbers.Number) for w in values):
+        return [complex(w) for w in values]
+    return values
 
 
-def parameters(n: int, z: Sequence | None = None) -> list:
-    """z_1..z_n over their scalar field; the variables z1..zn when z is None."""
-    if z is None:
-        return [LaurentPoly.variable(cohom_vars(n), v) for v in cohom_vars(n)]
+def parameters(n: int, z: Sequence) -> list:
+    """z_1..z_n over their scalar field."""
     if len(z) != n:
         raise ValueError(f"expected {n} parameters, got {len(z)}")
     return over_field(z)
@@ -72,9 +71,7 @@ def parameters(n: int, z: Sequence | None = None) -> list:
 def as_matrix(rows, like):
     """The container of a square array over the field of `like`; integer
     entries are lifted into the field."""
-    if isinstance(like, LaurentPoly) and not any(
-        isinstance(x, RationalFn) for row in rows for x in row
-    ):
+    if isinstance(like, LaurentPoly):
         vs = like.vars
         return LaurentMatrix(
             [[x if isinstance(x, LaurentPoly) else LaurentPoly.constant(vs, x) for x in row] for row in rows]
@@ -139,8 +136,8 @@ class NumericContext:
 class CohClass:
     """Cohomology class stored by fixed-point restrictions (idempotent basis).
 
-    Restriction entries may be exact (LaurentPoly/RationalFn/Fraction) or
-    complex numbers; the product is componentwise.
+    Restriction entries may be exact (LaurentPoly or Fraction), complex
+    numbers, or elements of any field; the product is componentwise.
     """
 
     __slots__ = ("n", "restrictions")
@@ -187,7 +184,7 @@ class CohClass:
 # -- bases and the Vandermonde matrix ------------------------------------------------
 
 
-def vandermonde(n: int, z: Sequence | None = None):
+def vandermonde(n: int, z: Sequence):
     """The base change D (rows: fixed points, columns: x-powers), D_{ja} = z_j^a,
     and its closed-form inverse, over the field of z:
 
@@ -212,7 +209,7 @@ def vandermonde(n: int, z: Sequence | None = None):
     return as_matrix(d, z[0]), as_matrix(dinv, z[0])
 
 
-def g_basis_matrix(n: int, z: Sequence | None = None):
+def g_basis_matrix(n: int, z: Sequence):
     """Columns express the nested-product basis g_j = prod_{a>j}(x - z_a) in
     x-power coordinates (g_n = 1): the coefficient of x^a in g_j is
     (-1)^{n-j-a} e_{n-j-a}(z_{j+1}, .., z_n)."""
@@ -226,7 +223,7 @@ def g_basis_matrix(n: int, z: Sequence | None = None):
     )
 
 
-def g_basis_inverse(n: int, z: Sequence | None = None):
+def g_basis_inverse(n: int, z: Sequence):
     """Inverse of `g_basis_matrix`, by Newton's interpolation identity
     x^a = sum_j h_{a-n+j}(z_j, .., z_n) g_j."""
     z = parameters(n, z)
@@ -238,7 +235,7 @@ def g_basis_inverse(n: int, z: Sequence | None = None):
 # -- Poincare pairing -----------------------------------------------------------------
 
 
-def eta_gram(n: int, z: Sequence | None = None):
+def eta_gram(n: int, z: Sequence):
     """Gram matrix of the Poincare pairing in the x-power basis:
     eta_{ab} = h_{a+b-n+1}(z), so zero under the antidiagonal, one on it and
     complete symmetric functions above."""

@@ -93,7 +93,7 @@ class SolutionSeries:
         the ratio only falls (divisors grow like r^n, numerators like r^(n-1)),
         so the tail of the sum is then at most its last term."""
         last = np.max(np.abs(self._nums[-2:]), axis=1)
-        return series_converged(q, abs(self._divs[-1]) * last[0], last[1])
+        return series_converged(q, (last[1], abs(self._divs[-1]) * last[0]))
 
     def _head(self, q: complex, log_q: complex | None) -> complex:
         lq = cmath.log(q) if log_q is None else log_q
@@ -162,12 +162,12 @@ def fundamental_matrix(ctx: NumericContext, order: int):
     shift z."""
     cache: dict[tuple, list[SolutionSeries]] = {}
 
-    def matrix(q: complex, at: NumericContext, log_q: complex | None = None) -> np.ndarray:
+    def matrix(q: complex, at: NumericContext) -> np.ndarray:
         key = tuple(at.z)
         if key not in cache:
             cache[key] = [SolutionSeries(J, at, order) for J in range(1, at.n + 1)]
         _, dinv = vandermonde(at.n, at.z)
-        cols = [dinv @ s.restrictions(q, log_q) for s in cache[key]]
+        cols = [dinv @ s.restrictions(q) for s in cache[key]]
         return np.column_stack(cols)
 
     return matrix
@@ -176,8 +176,8 @@ def fundamental_matrix(ctx: NumericContext, order: int):
 # -- residual checks -----------------------------------------------------------------
 
 
-def solution_ode_residual(sol: QSolution, q: complex, log_q: complex | None = None) -> float:
-    return ode_residual(sol, q, sol.n, sol.ctx.z, log_q)
+def solution_ode_residual(sol: QSolution, q: complex) -> float:
+    return ode_residual(sol, q, sol.n, sol.ctx.z)
 
 
 def solution_qkz_residual(
@@ -211,7 +211,6 @@ def contour_oracle(
     q: complex,
     ctx: NumericContext,
     p: float | None = None,
-    log_q: complex | None = None,
 ) -> CohClass:
     """Evaluate the solution attached to Q by quadrature over the parabola
     t = p + u^2 + i u, |u| <= 9, independent of the residue series."""
@@ -227,7 +226,7 @@ def contour_oracle(
     for w in z:
         if w.real - (w.imag**2) <= p:
             raise ValueError("parabola apex must leave every z_a inside")
-    lq = cmath.log(q) if log_q is None else log_q
+    lq = cmath.log(q)
     az = _char_values(ctx)
     base = lq - 1j * cmath.pi * n
     head = 1j * cmath.pi * sum(z)

@@ -5,9 +5,9 @@ topological-enumerative solution built from the scalar series a_j.
 
 The system matrices and the coefficient recursions are written once, over
 the scalar field of z (see `cohomology`): Fractions for rational z, complex
-numbers for numeric z, rational functions in z1..zn when z is omitted.  The
-evaluators feed the recursions complex z even when z is rational (products
-and quotients, with no cancellation); only D and D^{-1} stay over its field.
+numbers for numeric z, or a field the caller brings.  The evaluators feed
+the recursions complex z even when z is rational (products and quotients,
+with no cancellation); only D and D^{-1} stay over its field.
 They never form a power q^k alone, which overflows at large |q| where the
 terms of the series are small: the Levelt sums run by Horner's rule, and each
 term c_d q^(z_j + d) of a_j is one exponential.  The scalar equation that
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .cohomology import as_matrix, eta_gram, parameters, vandermonde
 # -- the equation ---------------------------------------------------------------------
 
 
-def system_matrices(n: int, z: Sequence | None = None):
+def system_matrices(n: int, z: Sequence):
     """A0 (single 1 in the upper-right corner) and the companion-type A1(z)
     whose eigenvalues are z_1..z_n: ones under the diagonal and last column
     (A1)_{i,n} = (-1)^{n-i} e_{n-i+1}(z)."""
@@ -56,7 +56,7 @@ def coefficient_matrix(n: int, z: Sequence[complex], q: complex) -> np.ndarray:
     return a0 + a1 / q
 
 
-def levelt_coefficients(n: int, z: Sequence | None, order: int) -> list:
+def levelt_coefficients(n: int, z: Sequence, order: int) -> list:
     """G_0 = 1, G_1..G_order of the Levelt gauge, over the field of z.
 
     Recursion: (G_k)_{ij} = -(M G_{k-1})_{ij} / (z_i - z_j - k) with
@@ -112,24 +112,28 @@ class LeveltSolution:
         return self.dinv @ (ds @ qz + s @ np.diag(self.zc / q) @ qz)
 
     def converged(self, q: complex) -> bool:
-        """`series_converged` on the largest entries of the last two G_k."""
-        return series_converged(q, *(np.max(np.abs(g)) for g in self.coeffs[-2:]))
+        """`series_converged` on the largest entries of the G_k."""
+        return series_converged(q, (np.max(np.abs(g)) for g in reversed(self.coeffs)))
 
 
 def levelt_series(n: int, z: Sequence, order: int) -> LeveltSolution:
     return LeveltSolution(n, z, order)
 
 
-def series_converged(q: complex, prev: float, last: float) -> bool:
-    """Whether the last term of a truncated series at q is below half the one
-    before it, from their coefficient sizes; an underflowed last 0 counts."""
-    return bool(last == 0 or abs(q) * last < 0.5 * prev)
+def series_converged(q: complex, sizes: Iterable[float]) -> bool:
+    """Whether the last nonzero term of a truncated series at q is below half
+    the one before it, from the sizes of its coefficients, highest order
+    first.  Coefficients that underflowed to 0 are passed over: they end a
+    series that was cut short, not one that converged."""
+    nonzero = (s for s in sizes if s != 0)
+    last, prev = next(nonzero, 0), next(nonzero, 0)
+    return bool(prev == 0 or abs(q) * last < 0.5 * prev)
 
 
 # -- topological-enumerative solution ---------------------------------------------------
 
 
-def a_series_coefficients(n: int, z: Sequence | None, order: int, j: int) -> list:
+def a_series_coefficients(n: int, z: Sequence, order: int, j: int) -> list:
     """Coefficients c_d of the scalar series a_j = q^{z_j}(1 + sum c_d q^d),
     c_d = 1 / prod_i prod_{m<=d} (z_j - z_i + m), over the field of z."""
     z = parameters(n, z)
@@ -188,21 +192,21 @@ class TopologicalSolution:
         return self._in_x(self._theta_powers(lq)[1:] / q)
 
     def converged(self, q: complex) -> bool:
-        """`series_converged` on the last two coefficients of every a_j."""
-        return all(series_converged(q, *np.abs(a[-2:])) for a in self.a_coeffs)
+        """`series_converged` on the coefficients of every a_j."""
+        return all(series_converged(q, np.abs(a[::-1])) for a in self.a_coeffs)
 
 
 def topological_series(n: int, z: Sequence, order: int) -> TopologicalSolution:
     return TopologicalSolution(n, z, order)
 
 
-def ode_residual(solution, q: complex, n: int, z: Sequence, log_q: complex | None = None) -> float:
+def ode_residual(solution, q: complex, n: int, z: Sequence) -> float:
     """Relative residual |dY/dq - A(q) Y| / |Y| of a solution object with
     `matrix` and `derivative` methods: the operator norm for a fundamental
     solution, the Euclidean norm for one solution."""
     if q == 0:
         raise ValueError("residual undefined at q = 0")
-    y = solution.matrix(q, log_q)
-    dy = solution.derivative(q, log_q)
+    y = solution.matrix(q)
+    dy = solution.derivative(q)
     a = coefficient_matrix(n, z, q)
     return float(np.linalg.norm(dy - a @ y, 2) / np.linalg.norm(y, 2))

@@ -2,8 +2,8 @@
 
 Everything downstream that claims an identity "exactly" reduces to arithmetic
 in this module: Laurent polynomials with arbitrary-precision rational
-coefficients, rational functions compared by cross-multiplication, matrices
-over the Laurent ring, elementary/complete symmetric functions, Stirling
+coefficients (a ring; nothing here divides by a polynomial), matrices over
+the Laurent ring, elementary/complete symmetric functions, Stirling
 numbers, and exact evaluation at roots of unity via cyclotomic reduction.
 
 A Laurent polynomial keys each monomial by one integer, sum_i e_i 2^(32 i)
@@ -237,21 +237,16 @@ class LaurentPoly:
             raise ValueError(f"variable-context mismatch: {self.vars} vs {other.vars}")
 
     def _as_poly(self, other) -> "LaurentPoly":
-        """other in this context; NotImplemented for a rational function,
-        whose reflected operation then takes over."""
+        """other in this context, a constant lifted into it."""
         if isinstance(other, LaurentPoly):
             self._check_context(other)
             return other
-        if isinstance(other, RationalFn):
-            return NotImplemented
         return LaurentPoly.constant(self.vars, other)
 
     # -- ring operations -----------------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._as_poly(other)
-        if other is NotImplemented:
-            return other
         tm = dict(self._t)
         for k, c in other._t.items():
             s = tm.get(k, 0) + c
@@ -267,18 +262,13 @@ class LaurentPoly:
         return LaurentPoly._raw(self.vars, {k: -c for k, c in self._t.items()}, self._b)
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = self._as_poly(other)
-        if other is NotImplemented:
-            return other
-        return self + (-other)
+        return self + (-self._as_poly(other))
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
-            if isinstance(other, RationalFn):
-                return NotImplemented
             c = _norm_coeff(other)
             if c == 0:
                 return LaurentPoly.zero(self.vars)
@@ -321,13 +311,6 @@ class LaurentPoly:
         if y._t and s._t or y.vars != self.vars or s.vars != self.vars:
             return LaurentPoly.sum_of_products(self.vars, ((y, s),), self)
         return self
-
-    def __truediv__(self, other) -> "RationalFn":
-        """Division lands in the field of fractions."""
-        return RationalFn(self) / other
-
-    def __rtruediv__(self, other) -> "RationalFn":
-        return other / RationalFn(self)
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
@@ -554,95 +537,6 @@ def stirling(kind: str, n: int, k: int) -> int:
     if kind == "second":
         return k * stirling("second", n - 1, k) + stirling("second", n - 1, k - 1)
     raise ValueError(f"unknown kind {kind!r} (use 'first' or 'second')")
-
-
-# -- rational functions ----------------------------------------------------------
-
-
-class RationalFn:
-    """Quotient of Laurent polynomials; equality by cross-multiplication.
-
-    No multivariate gcd is attempted.  The only normalization is division by
-    the denominator when it is a unit monomial, which keeps intermediate sizes
-    bounded in the places this class is used.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly | None = None):
-        if den is None:
-            den = LaurentPoly.one(num.vars)
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        num._check_context(den)
-        if den.is_unit_monomial():
-            num = num * unit_pow(den, -1)
-            den = LaurentPoly.one(num.vars)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFn is immutable")
-
-    def _pair(self, other) -> "RationalFn":
-        if isinstance(other, RationalFn):
-            return other
-        if isinstance(other, LaurentPoly):
-            return RationalFn(other)
-        return RationalFn(LaurentPoly.constant(self.num.vars, other))
-
-    def __add__(self, other) -> "RationalFn":
-        o = self._pair(other)
-        num = LaurentPoly.sum_of_products(self.num.vars, ((self.num, o.den), (o.num, self.den)))
-        return RationalFn(num, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFn":
-        return RationalFn(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFn":
-        return self + (-self._pair(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "RationalFn":
-        o = self._pair(other)
-        return RationalFn(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFn":
-        o = self._pair(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RationalFn(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._pair(other) / self
-
-    def __eq__(self, other) -> bool:
-        o = self._pair(other)
-        return (self.num * o.den - o.num * self.den).is_zero()
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def eval(self, values: Mapping[str, complex]) -> complex:
-        return self.num.eval(values) / self.den.eval(values)
-
-    def dual(self) -> "RationalFn":
-        return RationalFn(self.num.dual(), self.den.dual())
-
-    def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    __repr__ = __str__
 
 
 # -- matrices over the Laurent ring -----------------------------------------------

@@ -4,6 +4,12 @@ shift operators at the variables (q, z1..zn) and their normal form at
 infinity, the scalar quantum differential equation, and the large-|s|
 asymptotics of the residue series.
 
+The tests that need the parameters symbolically take z1..zn as Laurent
+polynomials where a builder does not divide, and from sympy where it does:
+as symbols (expression trees) where the builder tests no equality, and in
+sympy's field of rational functions where it does.  sympy serves only as a
+test-time oracle; the library has no field of rational functions of its own.
+
 Not a test module (no `test_` prefix); pytest's default import mode puts
 `tests/` on sys.path, so the test files import it as `identities`.
 """
@@ -17,6 +23,8 @@ from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
+from sympy import QQ, cancel
+from sympy.polys.fields import field
 
 from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import SolutionSeries
@@ -85,6 +93,27 @@ def mul_class(f: KClass, g: KClass) -> KClass:
     f, g = _one_ring([f, g])
     terms = [(a * b, i + j) for i, a in enumerate(f._co) for j, b in enumerate(g._co)]
     return KClass(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
+
+
+# -- symbolic parameters ----------------------------------------------------------------
+
+
+def parameter_variables(n: int) -> list[LaurentPoly]:
+    """z1..zn as Laurent polynomials over cohom_vars(n), for the builders that
+    do not divide."""
+    return [LaurentPoly.variable(cohom_vars(n), v) for v in cohom_vars(n)]
+
+
+def rational_function_field(names: Sequence[str]) -> list:
+    """The generators of Q(names), sympy's field of rational functions, in
+    which `==` is the equality of rational functions."""
+    return list(field(",".join(names), QQ)[1:])
+
+
+def vanishes_identically(x) -> bool:
+    """Whether a sympy expression (a tree, compared structurally by `==`) is
+    0 as a rational function."""
+    return cancel(x) == 0
 
 
 # -- shift operators at the variables (q, z1..zn) ----------------------------------------

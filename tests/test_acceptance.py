@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import symbols
 
 from projqde.cohomology import NumericContext
 from projqde.hypergeom import (
@@ -59,6 +60,7 @@ from identities import (
     scaled_element_asymptotic_ratio,
     series_coefficient,
     specialize,
+    vanishes_identically,
 )
 
 
@@ -202,11 +204,13 @@ def test_criterion_04_series_solutions():
             lhs = top.matrix(q)
             rhs = lev.matrix(q) @ lev.d
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(lhs))
-    # scalar equation, symbolically to order 6
+    # scalar equation, symbolically to order 6, and a changed coefficient fails it
     n = 2
-    zsym = [LaurentPoly.variable(("z1", "z2"), f"z{i + 1}") for i in range(n)]
-    res = scalar_qde_residual(ScalarSeries(zsym[0], a_series_coefficients(n, None, 6, 1), 6), n, zsym)
-    assert all(c.is_zero() for c in res.coeffs[:-1])
+    zsym = symbols("z1 z2")
+    coeffs = a_series_coefficients(n, zsym, 6, 1)
+    for cs, solves in ((coeffs, True), (coeffs[:3] + [2 * coeffs[3]] + coeffs[4:], False)):
+        res = scalar_qde_residual(ScalarSeries(zsym[0], cs, 6), n, zsym)
+        assert all(vanishes_identically(c) for c in res.coeffs[:-1]) == solves
     assert time.perf_counter() - started < 60.0
     report("criterion 4: regular-point series solve the equation", started)
 

@@ -2,13 +2,18 @@
 input.  At resonance-free rational z the Fraction result, converted to
 complex, and the symbolic result, evaluated at z, must both match the complex
 result; and the complex result must satisfy its defining identity, checked
-with numpy independently of the builder."""
+with numpy independently of the builder.  The symbolic results are sympy
+expressions in (q, z1..zn): trees, except for `vandermonde`, whose
+self-check needs `== 0` to be the equality of rational functions and so runs
+in the field Q(q, z1..zn)."""
 
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
+from sympy import Rational, symbols, sympify
+from sympy.polys.fields import FracElement
 
 from projqde.cohomology import (
     NumericContext,
@@ -20,13 +25,12 @@ from projqde.cohomology import (
 from projqde.hypergeom import fundamental_matrix
 from projqde.qde import a_series_coefficients, levelt_coefficients, system_matrices
 from projqde.qkz import qkz_operator
-from projqde.ring import LaurentMatrix, LaurentPoly
 
-from identities import qkz_vars, specialize
+from identities import qkz_vars, rational_function_field
 
 TOL = 1e-12
 ORDER = 8
-SYMBOLIC_LEVELT_ORDER = {2: 8, 3: 4, 4: 3}  # uncancelled rational functions grow with the order
+SYMBOLIC_LEVELT_ORDER = {2: 8, 3: 4, 4: 3}  # the expression trees grow with the order
 
 
 def close(got, want, tol=TOL) -> bool:
@@ -35,30 +39,21 @@ def close(got, want, tol=TOL) -> bool:
     return got.shape == want.shape and np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))
 
 
-def value(p: LaurentPoly, point: dict) -> Fraction:
-    for name in p.vars:
-        p = specialize(p, name, point[name])
-    return p.constant_value()
-
-
 def evaluate(m, point: dict) -> np.ndarray:
-    """A symbolic matrix (LaurentMatrix, or an array of rational functions) at
-    a rational point, exactly; floating evaluation of the unreduced rational
+    """A symbolic matrix (rows of sympy expressions or field elements) at a
+    rational point, exactly; floating evaluation of the unreduced rational
     functions of the Levelt gauge loses digits to cancellation."""
-    if isinstance(m, LaurentMatrix):
-        m = [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+    at = {symbols(name): Rational(w.numerator, w.denominator) for name, w in point.items()}
     return np.array(
-        [
-            [value(x, point) if isinstance(x, LaurentPoly) else value(x.num, point) / value(x.den, point) for x in row]
-            for row in m
-        ],
+        [[sympify(x.as_expr() if isinstance(x, FracElement) else x).xreplace(at) for x in row] for row in m],
         dtype=complex,
     )
 
 
-def builders(n: int, z, q, levelt_order: int) -> dict:
-    """Every unified builder at (q, z), keyed by name."""
-    d, dinv = vandermonde(n, z)
+def builders(n: int, z, q, levelt_order: int, z_vandermonde=None) -> dict:
+    """Every unified builder at (q, z), keyed by name; `vandermonde` at
+    z_vandermonde when given, else at z."""
+    d, dinv = vandermonde(n, z if z_vandermonde is None else z_vandermonde)
     a0, a1 = system_matrices(n, z)
     out = {
         "D": d,
@@ -81,9 +76,10 @@ def builders(n: int, z, q, levelt_order: int) -> dict:
 
 @lru_cache(maxsize=None)
 def symbolic(n: int) -> dict:
-    """Every builder at the variables (q, z1..zn)."""
-    q, *z = (LaurentPoly.variable(qkz_vars(n), v) for v in qkz_vars(n))
-    return builders(n, z, q, SYMBOLIC_LEVELT_ORDER[n])
+    """Every builder at the symbols (q, z1..zn), `vandermonde` in the field
+    Q(q, z1..zn)."""
+    q, *z = symbols(qkz_vars(n))
+    return builders(n, z, q, SYMBOLIC_LEVELT_ORDER[n], rational_function_field(qkz_vars(n))[1:])
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """K-theory algebra: normal form, Euler pairing, mutations, braid action,
 dual bases, canonical operator, Diophantine constraints, named bases."""
 
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +34,7 @@ from projqde.ktheory import (
 )
 from projqde import ktheory
 from projqde.ktheory import _chi, _h_dual, _o_power_coords, _power_elementary
-from projqde.ring import LAMBDA, LaurentMatrix, LaurentPoly, RationalFn, char_poly, sym_poly, zvars
+from projqde.ring import LAMBDA, LaurentMatrix, LaurentPoly, char_poly, sym_poly, zvars
 
 from identities import coefficient, drop_vars, mul_class, specialize, substitute_monomial
 
@@ -86,21 +88,51 @@ def test_defining_relation_dies():
 # -- Euler pairing -----------------------------------------------------------
 
 
-def chi_via_localization(f, g):
-    """The oracle for the pairing, by the fixed-point localization formula:
-    sum_a f(Z_a^{-1}, Z^{-1}) g(Z_a, Z) / prod_{j != a} (1 - Z_a/Z_j)."""
-    n = f.n
+@lru_cache(maxsize=None)
+def localization_denominators(n: int, opposite: bool):
+    """The denominators den_a = prod_{j != a} (1 - Z_a/Z_j) of the fixed-point
+    sums, or (1 - Z_j/Z_a) when opposite, for a = 1..n, and their partial
+    products prod_{b < a} den_b for a = 1..n+1."""
     zv = zvars(n)
     one = LaurentPoly.one(zv)
-    total = RationalFn(LaurentPoly.zero(zv))
-    for a, (fa, ga) in enumerate(zip(f.restrictions(), g.restrictions()), start=1):
-        za = LaurentPoly.variable(zv, f"Z{a}")
-        den = one
-        for j in range(1, n + 1):
-            if j != a:
-                den = den * (one - za * LaurentPoly.variable(zv, f"Z{j}", -1))
-        total = total + RationalFn(fa.dual() * ga, den)
-    return total
+    z = [LaurentPoly.variable(zv, v) for v in zv]
+    zinv = [LaurentPoly.variable(zv, v, -1) for v in zv]
+    dens = [
+        math.prod((one - (z[j] * zinv[a] if opposite else z[a] * zinv[j]) for j in range(n) if j != a), start=one)
+        for a in range(n)
+    ]
+    partial = [one]
+    for d in dens:
+        partial.append(partial[-1] * d)
+    return dens, partial
+
+
+def localization_sum(f: KClass, g: KClass, opposite: bool):
+    """sum_a f_a^* g_a / den_a over the fixed points a, with f_a, g_a the
+    restrictions there and den_a as in `localization_denominators`, as a
+    numerator and a denominator: (sum_a f_a^* g_a prod_{b != a} den_b,
+    prod_b den_b), summed one fraction at a time."""
+    dens, partial = localization_denominators(f.n, opposite)
+    num = LaurentPoly.zero(dens[0].vars)
+    for fa, ga, d, p in zip(f.restrictions(), g.restrictions(), dens, partial):
+        num = LaurentPoly.sum_of_products(num.vars, ((num, d), (fa.dual() * ga, p)))
+    return num, partial[-1]
+
+
+def assert_localizes(fraction, closed):
+    """A localization sum (numerator, denominator) equals the closed form,
+    num = closed * den, and not the closed form plus Z1 (negative control)."""
+    num, den = fraction
+    want = closed * den
+    assert num == want
+    assert num != want + LaurentPoly.variable(closed.vars, "Z1") * den
+
+
+def chi_via_localization(f, g):
+    """The oracle for the pairing, by the fixed-point localization formula
+    sum_a f(Z_a^{-1}, Z^{-1}) g(Z_a, Z) / prod_{j != a} (1 - Z_a/Z_j),
+    cross-multiplied (`localization_sum`)."""
+    return localization_sum(f, g, opposite=False)
 
 
 def test_chi_line_bundle_values():
@@ -144,8 +176,7 @@ def test_chi_localization_cross_check(n):
             (mutated[1], pairs[0][1]),
         ]
     for f, g in pairs:
-        closed = chi_pair(f, g)
-        assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+        assert_localizes(chi_via_localization(f, g), chi_pair(f, g))
 
 
 @st.composite
@@ -165,8 +196,7 @@ def braid_images(draw):
 def test_chi_localization_on_braid_orbits(basis):
     for f in basis.elements:
         for g in basis.elements:
-            closed = chi_pair(f, g)
-            assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+            assert_localizes(chi_via_localization(f, g), chi_pair(f, g))
 
 
 def _chi_reference(f, g):
@@ -327,8 +357,7 @@ def test_braid_act_carries_torus_characters(case):
     assert gram.map(lambda p: to_z(p, n)) == gram_matrix(expanded)
     assert all(tuple(to_z(c, n) for c in f.ocoords) == f._in_z().ocoords for f in got)
     for f, g in zip(got, got[1:] + got[:1]):
-        closed = chi_pair(f, g)
-        assert (chi_via_localization(f, g) - RationalFn(closed)).is_zero()
+        assert_localizes(chi_via_localization(f, g), chi_pair(f, g))
 
 
 @settings(max_examples=30, deadline=None)
@@ -458,20 +487,11 @@ def a_pair(f: KClass, g: KClass) -> LaurentPoly:
     return chi_pair(g, f).dual()
 
 
-def a_via_localization(f: KClass, g: KClass) -> RationalFn:
+def a_via_localization(f: KClass, g: KClass):
     """A(f, g) by localization, written for the opposite-order pairing itself:
     sum_a f(Z_a, Z)^* g(Z_a, Z) / prod_{j != a} (1 - Z_j/Z_a), f and g taken
-    at the fixed point a."""
-    zv = zvars(f.n)
-    one = LaurentPoly.one(zv)
-    total = RationalFn(LaurentPoly.zero(zv))
-    for a, (fa, ga) in enumerate(zip(f.restrictions(), g.restrictions()), start=1):
-        den = one
-        for j in range(1, f.n + 1):
-            if j != a:
-                den = den * (one - LaurentPoly.variable(zv, f"Z{j}") * LaurentPoly.variable(zv, f"Z{a}", -1))
-        total = total + RationalFn(fa.dual() * ga, den)
-    return total
+    at the fixed point a, cross-multiplied (`localization_sum`)."""
+    return localization_sum(f, g, opposite=True)
 
 
 def test_a_pair_is_opposite_order_dual():
@@ -482,8 +502,7 @@ def test_a_pair_is_opposite_order_dual():
         classes = [line(n, 1), line(n, -1), mutated[-1], torus, rand_kclass(rng, n)]
         for f in classes:
             for g in classes:
-                got = a_pair(f, g)
-                assert (a_via_localization(f, g) - RationalFn(got)).is_zero()
+                assert_localizes(a_via_localization(f, g), a_pair(f, g))
         # A is not chi: the two differ on a pair of line bundles
         f, g = line(n, 0), line(n, 1)
         assert a_pair(f, g) != chi_pair(f, g)

@@ -1,11 +1,13 @@
 """Layout of the library: every module-level function and class of
 `src/projqde` has a caller in the program (the library itself, `bench/` or
-`tools/`), so code that only tests call lives in the tests."""
+`tools/`), so code that only tests call lives in the tests; and the library
+imports neither sympy nor mpmath, which serve only as test-time oracles."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TEST_ONLY_PACKAGES = {"sympy", "mpmath"}
 
 
 def _used_names(node: ast.AST) -> set[str]:
@@ -49,3 +51,29 @@ def without_program_caller() -> list[str]:
 def test_every_library_definition_has_a_program_caller():
     unused = without_program_caller()
     assert not unused, "no program code calls " + ", ".join(unused)
+
+
+def oracle_imports(tree: ast.AST) -> list[str]:
+    """The modules of TEST_ONLY_PACKAGES that a piece of code imports, at any
+    depth (function-local imports included)."""
+    out = []
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Import):
+            names = [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
+            names = [sub.module]
+        else:
+            continue
+        out += [name for name in names if name.split(".")[0] in TEST_ONLY_PACKAGES]
+    return out
+
+
+def test_the_library_imports_no_test_oracle():
+    found = {
+        path.name: oracle_imports(ast.parse(path.read_text()))
+        for path in sorted((ROOT / "src" / "projqde").glob("*.py"))
+    }
+    assert not any(found.values()), found
+    # the scan sees a dotted import and one inside a function body
+    snippet = "import mpmath.libmp\ndef f():\n    from sympy.polys import fields\n"
+    assert oracle_imports(ast.parse(snippet)) == ["mpmath.libmp", "sympy.polys"]

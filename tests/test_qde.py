@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from sympy import symbols
 
 from projqde.cohomology import cohom_vars, vandermonde
 from projqde.qde import (
@@ -15,12 +16,13 @@ from projqde.qde import (
     levelt_coefficients,
     levelt_series,
     ode_residual,
+    series_converged,
     system_matrices,
     topological_series,
 )
-from projqde.ring import LaurentMatrix, LaurentPoly, RationalFn, sym_poly
+from projqde.ring import LaurentMatrix, LaurentPoly
 
-from identities import ScalarSeries, scalar_qde_residual
+from identities import ScalarSeries, parameter_variables, scalar_qde_residual, vanishes_identically
 
 Z3 = (0.1, 0.37 + 0.05j, -0.42)
 Z2 = (0.0, 0.37)
@@ -44,7 +46,7 @@ def test_a1_eigenvalues_and_diagonalization():
 
 def test_a1_char_poly_symbolic():
     n = 3
-    _, a1 = system_matrices(n)
+    _, a1 = system_matrices(n, parameter_variables(n))
     vs = ("LAM",) + cohom_vars(n)
     lam = LaurentPoly.variable(vs, "LAM")
     lifted = a1.map(lambda p: p.with_vars(vs))
@@ -207,6 +209,21 @@ def test_series_convergence_at_the_cutoff():
         assert make(n, z, 120).converged(1e3)
 
 
+def test_series_convergence_passes_over_an_underflowed_tail():
+    # sizes from the highest order down: the rule reads the last two nonzero
+    assert series_converged(10.0, [0.0, 0.0, 1e-5, 1e-3, 1.0])
+    assert not series_converged(10.0, [0.0, 0.0, 1e-3, 1e-3, 1.0])
+    assert series_converged(10.0, [0.0, 0.0, 1.0])
+    # at n = 10 and q = 1e15 both series underflow to 0 by order 40 while their
+    # last nonzero terms still grow; at q = 1e13 they converge
+    n = 10
+    z = [(2 * m + 1) / 20 for m in range(n)]
+    for make in (levelt_series, topological_series):
+        sol = make(n, z, 40)
+        assert sol.converged(1e13)
+        assert not sol.converged(1e15)
+
+
 def test_corrupted_series_fails_residual():
     n, z, order = 2, Z2, 25
     sol = levelt_series(n, z, order)
@@ -215,18 +232,20 @@ def test_corrupted_series_fails_residual():
 
 
 def _a_series_symbolic(n: int, j: int, order: int) -> ScalarSeries:
-    """The scalar series a_j with rational-function coefficients in symbolic z."""
-    z = [LaurentPoly.variable(cohom_vars(n), v) for v in cohom_vars(n)]
-    return ScalarSeries(z[j - 1], a_series_coefficients(n, None, order, j), order)
+    """The scalar series a_j with coefficients rational in the symbols z1..zn."""
+    z = symbols(cohom_vars(n))
+    return ScalarSeries(z[j - 1], a_series_coefficients(n, z, order, j), order)
 
 
 def test_scalar_qde_symbolic_rank2():
     n, order = 2, 6
-    z = [LaurentPoly.variable(cohom_vars(n), f"z{i + 1}") for i in range(n)]
+    z = symbols(cohom_vars(n))
     phi = _a_series_symbolic(n, 1, order)
-    res = scalar_qde_residual(phi, n, z)
     # the last coefficient is truncation garbage (the q*phi shift), so drop it
-    assert all(c.is_zero() for c in res.coeffs[:-1])
+    assert all(vanishes_identically(c) for c in scalar_qde_residual(phi, n, z).coeffs[:-1])
+    # negative control: one coefficient changed
+    bad = ScalarSeries(phi.expo, phi.coeffs[:3] + [2 * phi.coeffs[3]] + phi.coeffs[4:], order)
+    assert not all(vanishes_identically(c) for c in scalar_qde_residual(bad, n, z).coeffs[:-1])
 
 
 def test_scalar_qde_numeric_rank3():

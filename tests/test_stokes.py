@@ -52,6 +52,7 @@ from projqde.stokes import (
 from identities import (
     BranchContext,
     drop_vars,
+    parameter_variables,
     qkz_normal_form,
     qkz_normal_form_expected,
     scaled_element_asymptotic_ratio,
@@ -89,7 +90,7 @@ def shear_consistency_residual(n: int) -> LaurentMatrix:
     lhs = coeffs[0]
     for j in range(1, n + 1):
         lhs = lhs + coeffs[j].map(lambda p: p * s ** (-j))
-    a0, a1 = system_matrices(n)
+    a0, a1 = system_matrices(n, parameter_variables(n))
     a0 = a0.map(lambda p: p.with_vars(vs))
     a1 = a1.map(lambda p: p.with_vars(vs) * s ** (-n))
     a = a0 + a1
