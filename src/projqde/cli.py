@@ -514,12 +514,13 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--output", help="write the JSON report to this path")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def command(name, help, fn):
+    def command(name, help, fn, max_n):
+        # max_n: the largest rank measured to finish within about 60 s
         p = sub.add_parser(name, help=help)
         # a braid word -1,2 or parameters -0.1,0.3 are values, not options
         p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--n", type=int, required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, max_n=max_n)
         return p
 
     def basis_options(p):
@@ -532,59 +533,59 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=_ORDER, default=40)
         p.add_argument("--tol", type=_TOL, default=tol)
 
-    basis_options(command("gram", "Gram matrix of a named or mutated basis", cmd_gram))
+    basis_options(command("gram", "Gram matrix of a named or mutated basis", cmd_gram, max_n=11))
 
-    p = command("mutate", "left/right mutation of one class", cmd_mutate)
+    p = command("mutate", "left/right mutation of one class", cmd_mutate, max_n=9)
     p.add_argument("--side", choices=["left", "right"], required=True)
     p.add_argument("--pivot", required=True)
     p.add_argument("--target", required=True)
 
-    p = command("braid", "act with a braid word on a named basis", cmd_braid)
+    p = command("braid", "act with a braid word on a named basis", cmd_braid, max_n=8)
     basis_options(p)
     p.add_argument("--name", default="")
 
-    basis_options(command("dioph-check", "canonical characteristic constraints", cmd_dioph_check))
+    basis_options(command("dioph-check", "canonical characteristic constraints", cmd_dioph_check, max_n=10))
 
-    p = command("solve-qde", "fundamental solutions at the regular point", cmd_solve_qde)
+    p = command("solve-qde", "fundamental solutions at the regular point", cmd_solve_qde, max_n=65)
     series_options(p, tol=1e-8)
     p.add_argument("--q", required=True)
     p.add_argument("--solution", choices=["levelt", "top"], default="levelt")
 
-    p = command("qkz", "shift-operator matrix", cmd_qkz)
+    p = command("qkz", "shift-operator matrix", cmd_qkz, max_n=240)
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--q", required=True)
     p.add_argument("--z", required=True)
     p.add_argument("--basis", choices=["g", "x"], default="x")
 
-    p = command("qkz-check", "difference residuals of a solution", cmd_qkz_check)
+    p = command("qkz-check", "difference residuals of a solution", cmd_qkz_check, max_n=160)
     p.add_argument("--q", required=True)
     series_options(p, tol=1e-8)
     p.add_argument("--class", dest="cls", default="1")
 
-    p = command("psi", "residue-series solution of a class", cmd_psi)
+    p = command("psi", "residue-series solution of a class", cmd_psi, max_n=160)
     series_options(p, tol=1e-6)
     p.add_argument("--q", required=True)
     p.add_argument("--class", dest="cls", default="1")
     p.add_argument("--oracle", choices=["contour", "none"], default="none")
 
-    p = command("b-check", "comparison-matrix verification", cmd_b_check)
+    p = command("b-check", "comparison-matrix verification", cmd_b_check, max_n=9)
     series_options(p, tol=1e-6)
     p.add_argument("--k", type=int, default=0)
 
-    p = command("stokes", "Stokes matrices and Gram identities", cmd_stokes)
+    p = command("stokes", "Stokes matrices and Gram identities", cmd_stokes, max_n=10)
     p.add_argument("--sector", required=True, help="vp:K or vpp:K")
     p.add_argument("--z", default="")
 
-    p = command("formal-reduce", "formal gauge coefficients at infinity", cmd_formal_reduce)
+    p = command("formal-reduce", "formal gauge coefficients at infinity", cmd_formal_reduce, max_n=21)
     p.add_argument("--order", type=_ORDER, default=4)
     p.add_argument("--z", default=None)
 
-    command("roots-of-unity", "degeneration suite", cmd_roots_of_unity)
+    command("roots-of-unity", "degeneration suite", cmd_roots_of_unity, max_n=20)
 
-    p = command("dubrovin", "bridge to the isomonodromic system", cmd_dubrovin)
+    p = command("dubrovin", "bridge to the isomonodromic system", cmd_dubrovin, max_n=21)
     p.add_argument("--tol", type=_TOL, default=1e-8)
 
-    p = command("verify-all", "aggregate verification", cmd_verify_all)
+    p = command("verify-all", "aggregate verification", cmd_verify_all, max_n=10)
     p.add_argument("--fast", action="store_true")
 
     return top
@@ -623,6 +624,8 @@ def main(argv=None) -> int:
     try:
         if args.n < 1:
             raise ValueError(f"rank n must be positive, got {args.n}")
+        if args.n > args.max_n:
+            raise ValueError(f"{args.command} takes --n at most {args.max_n}, got {args.n}")
         # a float overflow shows as a NaN verdict or an OverflowError, not a warning
         with np.errstate(all="ignore"):
             report = args.fn(args)

@@ -13,8 +13,9 @@ keys, the duality Z_j -> Z_j^{-1} negates one.  Each polynomial bounds its
 one); past the slot limit 2^31 - 1 an operation raises OverflowError rather
 than let two monomials share a key.
 
-Matrix products and the Laplace minors of det, inverse and char_poly sum
-through `LaurentPoly.sum_of_products`, into one dict per entry or minor.
+Matrix products and the Laplace minors of det (and through it char_poly)
+sum through `LaurentPoly.sum_of_products`, into one dict per entry or minor;
+inverse eliminates on unit-monomial pivots through `plus_product`.
 
 Values are immutable after construction and every operation is pure.
 """
@@ -24,7 +25,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 
@@ -344,13 +344,6 @@ class LaurentPoly:
     def is_constant(self) -> bool:
         return all(k == 0 for k in self._t)  # key 0 is the monomial 1
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(next(iter(self._t.values())))
-
     def is_unit_monomial(self) -> bool:
         return len(self._t) == 1
 
@@ -494,16 +487,15 @@ def sym_poly(kind: str, k: int, n: int, prefix: str = "Z") -> LaurentPoly:
 
 def elementary_symmetric(vals: Sequence, k: int):
     """e_k of the values, over their ring or field (e_0 = 1, and e_k = 0 for
-    k < 0 or k > len(vals))."""
-    if k <= 0:
-        return 1 if k == 0 else 0
-    acc = None
-    for subset in combinations(vals, k):
-        term = subset[0]
-        for v in subset[1:]:
-            term = term * v
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else 0
+    k < 0), by e_j(v_1..v_m) = e_j(v_1..v_{m-1}) + v_m e_{j-1}(v_1..v_{m-1})
+    with j running downward."""
+    if k < 0:
+        return 0
+    e = [1] + [0] * k
+    for v in vals:
+        for j in range(k, 0, -1):
+            e[j] = e[j] + v * e[j - 1]
+    return e[k]
 
 
 def complete_symmetric(vals: Sequence, k: int):
@@ -663,20 +655,19 @@ class LaurentMatrix:
                     return False
         return True
 
-    def _minors(self, rows: Sequence[int]) -> Callable[[tuple[int, ...]], LaurentPoly]:
-        """The minors on the given rows, by Laplace expansion along them in
-        order: minor(cols) is the determinant of the last len(cols) of these
-        rows, restricted to the columns cols, summed by `sum_of_products`
-        over the pairs (+-a, sub-minor), a running over the nonzero entries
-        of the first of those rows.  Column subsets are memoized, so the
-        maximal minors of one row set share one expansion."""
-        vs = self.vars
+    def _minors(self) -> Callable[[tuple[int, ...]], LaurentPoly]:
+        """The minors on the last rows, by Laplace expansion along them in
+        order: minor(cols) is the determinant of the last len(cols) rows,
+        restricted to the columns cols, summed by `sum_of_products` over the
+        pairs (+-a, sub-minor), a running over the nonzero entries of the
+        first of those rows.  Column subsets are memoized."""
+        vs, rows = self.vars, self.entries
         cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(vs)}
 
         def minor(cols: tuple[int, ...]) -> LaurentPoly:
             if cols in cache:
                 return cache[cols]
-            row = self.entries[rows[len(rows) - len(cols)]]
+            row = rows[len(rows) - len(cols)]
             pairs = (
                 (-row[c] if pos % 2 else row[c], minor(cols[:pos] + cols[pos + 1 :]))
                 for pos, c in enumerate(cols)
@@ -691,30 +682,36 @@ class LaurentMatrix:
         """Determinant by Laplace expansion with column-subset memoization."""
         if self.rows != self.cols:
             raise ValueError("determinant of non-square matrix")
-        return self._minors(range(self.rows))(tuple(range(self.rows)))
+        return self._minors()(tuple(range(self.rows)))
 
     def inverse(self) -> "LaurentMatrix":
-        """Exact inverse over the Laurent ring: the adjugate times the inverse
-        of the determinant.  Column j of the adjugate holds the n cofactors of
-        row j, read from one memoized expansion of the other rows.
+        """Exact inverse over the Laurent ring, by Gauss-Jordan elimination on
+        [A | 1].  The pivot of column j is, among the rows at or below j whose
+        entry there is a unit monomial, the one with the fewest nonzero entries
+        in columns j..n-1 (the first on a tie); it is swapped up to row j,
+        scaled to 1, and column j is cleared in the other rows by `plus_product`.
 
-        The matrix is invertible over the Laurent ring exactly when its
-        determinant is a unit monomial, as it is for every unitriangular
-        matrix; otherwise ValueError is raised.
-        """
+        ValueError is raised when a column has no such row: so for every matrix
+        whose determinant is not a unit, and for some whose determinant is,
+        such as [[1 + Z1, -1/2], [1 - Z1, 1/2]].  The matrices the library
+        inverts (sector coordinates, Stokes and Gram matrices) have such pivots."""
         if self.rows != self.cols:
             raise ValueError("inverse of non-square matrix")
         n = self.rows
-        d = self.det()
-        if not d.is_unit_monomial():
-            raise ValueError("matrix is not invertible over the Laurent ring (det not a unit)")
-        dinv = unit_pow(d, -1)
-        cols = []
+        rows = [list(r) + list(e) for r, e in zip(self.entries, LaurentMatrix.identity(n, self.vars).entries)]
         for j in range(n):
-            minor = self._minors([r for r in range(n) if r != j])
-            cofs = [minor(tuple(s for s in range(n) if s != i)) for i in range(n)]
-            cols.append([(-c if (i + j) % 2 else c) * dinv for i, c in enumerate(cofs)])
-        return LaurentMatrix([list(row) for row in zip(*cols)])
+            units = [i for i in range(j, n) if rows[i][j].is_unit_monomial()]
+            if not units:
+                raise ValueError(f"no unit-monomial pivot in column {j} of the matrix to invert")
+            p = min(units, key=lambda i: sum(not x.is_zero() for x in rows[i][j:n]))
+            rows[j], rows[p] = rows[p], rows[j]
+            s = unit_pow(rows[j][j], -1)
+            pivot = rows[j] = [x * s for x in rows[j]]
+            for i in range(n):
+                if i != j and not rows[i][j].is_zero():
+                    f = -rows[i][j]
+                    rows[i] = [x.plus_product(f, y) for x, y in zip(rows[i], pivot)]
+        return LaurentMatrix([r[n:] for r in rows])
 
     def __str__(self) -> str:
         return "[" + ",\n ".join("[" + ", ".join(map(str, row)) + "]" for row in self.entries) + "]"

@@ -30,7 +30,7 @@ from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import SolutionSeries
 from projqde.ktheory import KClass, _expand, _one_ring
 from projqde.qkz import qkz_operator
-from projqde.ring import LaurentMatrix, LaurentPoly, _norm_coeff, _pow_coeff, elementary_symmetric
+from projqde.ring import LaurentMatrix, LaurentPoly, _norm_coeff, _pow_coeff, elementary_symmetric, unit_pow
 from projqde.stokes import W, _conjugate_by_e, _reduce_w
 
 # -- Laurent polynomials --------------------------------------------------------------
@@ -83,6 +83,22 @@ def specialize(p: LaurentPoly, name: str, value) -> LaurentPoly:
     i = p.vars.index(name)
     pairs = ((e[:i] + (0,) + e[i + 1 :], c * _pow_coeff(value, e[i])) for e, c in p._decoded())
     return LaurentPoly(p.vars, pairs)
+
+
+def cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
+    """Reference inverse over the Laurent ring: the adjugate, each entry by its
+    own Laplace determinant, times the inverse of det m (a unit monomial)."""
+    n = m.rows
+    dinv = unit_pow(m.det(), -1)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sub = [[m.entries[r][s] for s in range(n) if s != i] for r in range(n) if r != j]
+            cof = LaurentMatrix(sub).det() if n > 1 else LaurentPoly.one(m.vars)
+            row.append((-cof if (i + j) % 2 else cof) * dinv)
+        rows.append(row)
+    return LaurentMatrix(rows)
 
 
 # -- K-classes ------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line front end: dispatch, determinism, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import projqde
 from projqde import hypergeom, qde, stokes
-from projqde.cli import main, parse_kclass_expr, parse_sector, parse_z
+from projqde.cli import build_parser, main, parse_kclass_expr, parse_sector, parse_z
 from projqde.ring import LaurentPoly
 from projqde.ktheory import xz_vars
 
@@ -239,6 +240,43 @@ def test_order_and_tol_from_a_config_file_are_checked(tmp_path, capsys):
         assert main(["--config", str(conf), "b-check", "--n", "2", "--z", "0.1,0.4"]) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "must be" in err
+
+
+def _z(n):
+    return ",".join(f"{(i + 0.5) / (n + 1):.4f}" for i in range(n))
+
+
+# each command one rank above its ceiling, the rest of the line valid
+ABOVE_CEILING = [
+    ["gram", "--n", "12"],
+    ["mutate", "--n", "10", "--side", "left", "--pivot", "O(1)", "--target", "O(0)"],
+    ["braid", "--n", "9", "--name", "C"],
+    ["dioph-check", "--n", "11"],
+    ["solve-qde", "--n", "66", "--z", _z(66), "--q", "0.3"],
+    ["qkz", "--n", "241", "--i", "1", "--q", "0.3", "--z", _z(241)],
+    ["qkz-check", "--n", "161", "--q", "0.3", "--z", _z(161)],
+    ["psi", "--n", "161", "--z", _z(161), "--q", "0.3"],
+    ["b-check", "--n", "10", "--z", _z(10)],
+    ["stokes", "--n", "11", "--sector", "vp:0"],
+    ["formal-reduce", "--n", "22", "--z", _z(22)],
+    ["roots-of-unity", "--n", "21"],
+    ["dubrovin", "--n", "22"],
+    ["verify-all", "--n", "11", "--fast"],
+]
+
+
+@pytest.mark.parametrize("argv", ABOVE_CEILING, ids=lambda argv: argv[0])
+def test_a_rank_above_the_ceiling_exits_2_before_any_work(capsys, argv):
+    n = int(argv[2])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {argv[0]} takes --n at most {n - 1}, got {n}\n"
+
+
+def test_every_command_has_a_ceiling_case():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(argv[0] for argv in ABOVE_CEILING) == sorted(sub.choices)
 
 
 # commands that read neither a series order nor a tolerance, or only one

@@ -3,9 +3,12 @@ numbers, matrix dagger, det/inverse/characteristic polynomial against a numeric
 oracle, cyclotomic reduction."""
 
 import cmath
+import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,12 +26,11 @@ from projqde.ring import (
     reduce_root_of_unity,
     stirling,
     sym_poly,
-    unit_pow,
     zvars,
 )
-from projqde.stokes import SectorId, _columns_by_tag, stokes_basis
+from projqde.stokes import SectorId, _columns_by_tag, stokes_basis, stokes_gram, stokes_matrices
 
-from identities import coefficient, specialize, substitute_monomial
+from identities import coefficient, cofactor_inverse, specialize, substitute_monomial
 
 V2 = zvars(2)
 V3 = zvars(3)
@@ -75,6 +77,24 @@ def test_sym_poly_basics():
     assert sym_poly("elementary", 0, 3) == LaurentPoly.one(V3)
     with pytest.raises(ValueError):
         sym_poly("elementary", 3, 2)
+
+
+def _e_by_subsets(vals, k):
+    """Reference e_k: the sum over the k-subsets of the values of their products."""
+    return sum((math.prod(subset) for subset in combinations(vals, k)), start=0) if k >= 0 else 0
+
+
+def test_elementary_symmetric_matches_subset_sums():
+    rng = random.Random(13)
+    for n in (3, 6):
+        polys = [rand_poly(rng, V2, 2, 1) for _ in range(n)]
+        fracs = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+        nums = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        for k in range(-1, n + 2):
+            assert elementary_symmetric(polys, k) == _e_by_subsets(polys, k), (n, k)
+            assert elementary_symmetric(fracs, k) == _e_by_subsets(fracs, k), (n, k)
+            # summed in another order: equal up to rounding
+            assert cmath.isclose(elementary_symmetric(nums, k), _e_by_subsets(nums, k), rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_complete_recursion():
@@ -164,36 +184,60 @@ def test_matrix_inverse_paths():
     bad = LaurentMatrix([[one + z1, zero], [zero, one]])
     with pytest.raises(ValueError):
         bad.inverse()
+    # determinant 1, but no entry of the first column is a unit monomial
+    half = Fraction(1, 2)
+    no_pivot = LaurentMatrix([[one + z1, -half * one], [one - z1, half * one]])
+    assert no_pivot.det() == one
+    with pytest.raises(ValueError):
+        no_pivot.inverse()
 
 
-def _cofactor_inverse(m):
-    """Reference inverse: each adjugate entry by its own determinant."""
-    n = m.rows
-    dinv = unit_pow(m.det(), -1)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sub = [[m.entries[r][s] for s in range(n) if s != i] for r in range(n) if r != j]
-            cof = LaurentMatrix(sub).det() if n > 1 else LaurentPoly.one(m.vars)
-            row.append((-cof if (i + j) % 2 else cof) * dinv)
-        rows.append(row)
-    return LaurentMatrix(rows)
+def test_inverse_pivots_on_the_sparsest_unit_row():
+    # lower unitriangular with its rows in the order 2, 0, 1: the first unit
+    # of column 0 is in the full row, after which column 1 has no unit
+    one = LaurentPoly.one(V2)
+    zero = LaurentPoly.zero(V2)
+    z1 = LaurentPoly.variable(V2, "Z1")
+    z2 = LaurentPoly.variable(V2, "Z2")
+    m = LaurentMatrix([[one, one + z1, one], [one, zero, zero], [z2, one, zero]])
+    assert m.inverse() == cofactor_inverse(m)
+    # shuffled lower-triangular matrices with unit-monomial diagonals
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(3, 4)
+        low = [
+            [rand_poly(rng, V2, rng.randint(1, 2), 1) if i > j else LaurentPoly.zero(V2) for j in range(n)]
+            for i in range(n)
+        ]
+        for i in range(n):
+            low[i][i] = LaurentPoly.monomial(V2, [rng.randint(-1, 1) for _ in V2], rng.choice((1, -1, 2)))
+        r, c = rng.sample(range(n), n), rng.sample(range(n), n)
+        m = LaurentMatrix([[low[i][j] for j in c] for i in r])
+        assert m.inverse() == cofactor_inverse(m)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+def _inverted_matrices(sector, n):
+    """The matrices the library inverts on a sector: A0 and A1, the
+    line-bundle coordinates of its basis and of the half-turn basis, each
+    twisted by X^-(k+n-1) of its own sector (not triangular); S2; and the
+    sector's Gram matrix."""
+    order = list(reversed(stokes_basis(sector, n).eigen_tags))
+    a = [_columns_by_tag(stokes_basis(s, n), order, -(s.k + n - 1)) for s in (sector, sector.rotate_half(n))]
+    return (*a, stokes_matrices(sector, n)[1], stokes_gram(sector, n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_inverse_of_twisted_stokes_coordinates(n):
-    # the matrices `stokes_matrices` inverts: line-bundle coordinates of a
-    # sector basis twisted by X^-(k+n-1); not triangular
     for kind in ("Vprime", "Vdprime"):
         for k in range(-2, 3):
-            basis = stokes_basis(SectorId(kind, k), n)
-            a = _columns_by_tag(basis, list(reversed(basis.eigen_tags)), -(k + n - 1))
-            assert not a.is_upper_unitriangular() and not a.is_lower_unitriangular()
-            inv = a.inverse()
-            assert a * inv == LaurentMatrix.identity(n, a.vars)
-            assert inv * a == LaurentMatrix.identity(n, a.vars)
-            assert inv == _cofactor_inverse(a)
+            a0, a1, s2, g = _inverted_matrices(SectorId(kind, k), n)
+            for a in (a0, a1):
+                assert not a.is_upper_unitriangular() and not a.is_lower_unitriangular()
+            for a in (a0, a1, s2, g):
+                inv = a.inverse()
+                assert a * inv == LaurentMatrix.identity(n, a.vars)
+                assert inv * a == LaurentMatrix.identity(n, a.vars)
+                assert inv == cofactor_inverse(a), (n, kind, k)
 
 
 def _laurent_polys(vars, max_terms=3, span=2, coeffs=st.integers(-4, 4)):
@@ -235,13 +279,24 @@ def _unit_det_matrix(draw, kind):
         return _unitriangular(draw, n, lower=False)
     if kind == "lower":
         return _unitriangular(draw, n, lower=True)
-    # kind == "lu": lower * upper * a diagonal of signed unit monomials
+    # a diagonal of signed unit monomials
     exps = st.tuples(*(st.integers(-2, 2) for _ in V3))
     rows = [[LaurentPoly.zero(V3)] * n for _ in range(n)]
     for i in range(n):
         rows[i][i] = LaurentPoly.monomial(V3, draw(exps), draw(st.sampled_from((1, -1, 2))))
+    if kind == "permuted":
+        # lower triangular on that diagonal, rows and columns shuffled
+        monomials = st.builds(LaurentPoly.monomial, st.just(V3), exps, st.sampled_from((1, -1, 2)))
+        below = st.one_of(monomials, st.builds(operator.add, monomials, monomials))
+        low = [[draw(below) if i > j else rows[i][j] for j in range(n)] for i in range(n)]
+        r, c = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+        return LaurentMatrix([[low[i][j] for j in c] for i in r])
+    # kind == "lu": lower * upper * the diagonal
     upper, lower = _unitriangular(draw, n, lower=False), _unitriangular(draw, n, lower=True)
     return lower * upper * LaurentMatrix(rows)
+
+
+KINDS = ("upper", "lower", "lu", "permuted", "stokes")
 
 
 def _torus_point(draw):
@@ -289,15 +344,17 @@ def test_det_matches_numeric_oracle(data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from(("upper", "lower", "lu", "stokes")))
+@given(st.data(), st.sampled_from(KINDS))
 def test_inverse_matches_numeric_oracle(data, kind):
     m = _unit_det_matrix(data.draw, kind)
+    inv = m.inverse()
+    assert inv == cofactor_inverse(m)
     point = _torus_point(data.draw)
-    _assert_close(_numeric(m.inverse(), point), np.linalg.inv(_numeric(m, point)))
+    _assert_close(_numeric(inv, point), np.linalg.inv(_numeric(m, point)))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from(("upper", "lower", "lu", "stokes")))
+@given(st.data(), st.sampled_from(KINDS))
 def test_char_poly_matches_numeric_oracle(data, kind):
     a = _unit_det_matrix(data.draw, kind)
     n = a.rows

@@ -51,6 +51,7 @@ from projqde.stokes import (
 
 from identities import (
     BranchContext,
+    cofactor_inverse,
     drop_vars,
     parameter_variables,
     qkz_normal_form,
@@ -321,12 +322,13 @@ def _by_tag(basis, tag_order):
 def _x_power_stokes_matrices(sector, n):
     """Reference: S1 = A0^{-1} A1 and S2 = A1^{-1} A2 with A_i the X-power
     coordinates of the bases over Z1..Zn (`KClass.coeffs`), inverted by the
-    adjugate."""
+    test oracle `cofactor_inverse`: these A_i mostly have no unit-monomial
+    pivot, so `LaurentMatrix.inverse` refuses them."""
     bases, order = _three_bases(sector, n)
     a0, a1, a2 = (
         LaurentMatrix([[e.coeffs[j] for e in _by_tag(b, order)] for j in range(n)]) for b in bases
     )
-    return a0.inverse() * a1, a1.inverse() * a2
+    return cofactor_inverse(a0) * a1, cofactor_inverse(a1) * a2
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
