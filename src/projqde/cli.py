@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", default="1")
     p.add_argument("--oracle", choices=["contour", "none"], default="none")
 
-    p = command("b-check", "comparison-matrix verification", cmd_b_check, max_n=9)
+    p = command("b-check", "comparison-matrix verification", cmd_b_check, max_n=160)
     series_options(p, tol=1e-6)
     p.add_argument("--k", type=int, default=0)
 

@@ -34,6 +34,7 @@ from .ring import (
     LaurentPoly,
     complete_symmetric,
     elementary_symmetric,
+    evars,
     zvars,
 )
 from .ktheory import KClass
@@ -249,14 +250,15 @@ def eta_gram(n: int, z: Sequence):
 
 
 def chern_character(f: KClass, ctx: NumericContext | None = None) -> CohClass:
-    """Graded Chern character by fixed-point restriction (`KClass.restrictions`),
-    Laurent polynomials in the exponentiated parameters Z_a; with a context
-    they are evaluated at Z_a = exp(2 pi i z_a)."""
-    res = f.restrictions()
-    if ctx is not None:
-        az = {f"Z{a + 1}": cmath.exp(2j * cmath.pi * w) for a, w in enumerate(ctx.z)}
-        res = [r.eval(az) for r in res]
-    return CohClass(f.n, res)
+    """Graded Chern character by fixed-point restriction (`KClass.restrictions`)
+    over Z1..Zn; with a context, its values at Z_a = exp(2 pi i z_a), read off
+    the coordinates at E_k = e_k(Z) without expanding them in Z1..Zn."""
+    if ctx is None:
+        return CohClass(f.n, f.restrictions())
+    zs = [cmath.exp(2j * cmath.pi * w) for w in ctx.z]
+    at = dict(zip(zvars(f.n) + evars(f.n), zs + [elementary_symmetric(zs, k) for k in range(1, f.n + 1)]))
+    cs = [c.eval(at) for c in f.ocoords]
+    return CohClass(f.n, [sum(c * w**-j for j, c in enumerate(cs)) for w in zs])
 
 
 def gamma_class(sign: str, ctx: NumericContext) -> CohClass:

@@ -656,10 +656,9 @@ class LaurentMatrix:
         return True
 
     def _minors(self) -> Callable[[tuple[int, ...]], LaurentPoly]:
-        """The minors on the last rows, by Laplace expansion along them in
-        order: minor(cols) is the determinant of the last len(cols) rows,
-        restricted to the columns cols, summed by `sum_of_products` over the
-        pairs (+-a, sub-minor), a running over the nonzero entries of the
+        """Laplace minors: minor(cols) is the determinant of the last len(cols)
+        rows restricted to the columns cols, summed by `sum_of_products` over
+        the pairs (+-a, sub-minor), a running over the nonzero entries of the
         first of those rows.  Column subsets are memoized."""
         vs, rows = self.vars, self.entries
         cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(vs)}
@@ -690,7 +689,6 @@ class LaurentMatrix:
         entry there is a unit monomial, the one with the fewest nonzero entries
         in columns j..n-1 (the first on a tie); it is swapped up to row j,
         scaled to 1, and column j is cleared in the other rows by `plus_product`.
-
         ValueError is raised when a column has no such row: so for every matrix
         whose determinant is not a unit, and for some whose determinant is,
         such as [[1 + Z1, -1/2], [1 - Z1, 1/2]].  The matrices the library

@@ -256,7 +256,7 @@ ABOVE_CEILING = [
     ["qkz", "--n", "241", "--i", "1", "--q", "0.3", "--z", _z(241)],
     ["qkz-check", "--n", "161", "--q", "0.3", "--z", _z(161)],
     ["psi", "--n", "161", "--z", _z(161), "--q", "0.3"],
-    ["b-check", "--n", "10", "--z", _z(10)],
+    ["b-check", "--n", "161", "--z", _z(161)],
     ["stokes", "--n", "11", "--sector", "vp:0"],
     ["formal-reduce", "--n", "22", "--z", _z(22)],
     ["roots-of-unity", "--n", "21"],
