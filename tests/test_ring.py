@@ -219,19 +219,19 @@ def test_inverse_pivots_on_the_sparsest_unit_row():
 def _inverted_matrices(sector, n):
     """The matrices the library inverts on a sector: A0 and A1, the
     line-bundle coordinates of its basis and of the half-turn basis, each
-    twisted by X^-(k+n-1) of its own sector (not triangular); S2; and the
-    sector's Gram matrix."""
+    twisted by X^-(k+n-1) of its own sector (not triangular at n > 2); S2;
+    and the sector's Gram matrix."""
     order = list(reversed(stokes_basis(sector, n).eigen_tags))
     a = [_columns_by_tag(stokes_basis(s, n), order, -(s.k + n - 1)) for s in (sector, sector.rotate_half(n))]
     return (*a, stokes_matrices(sector, n)[1], stokes_gram(sector, n))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_inverse_of_twisted_stokes_coordinates(n):
     for kind in ("Vprime", "Vdprime"):
         for k in range(-2, 3):
             a0, a1, s2, g = _inverted_matrices(SectorId(kind, k), n)
-            for a in (a0, a1):
+            for a in (a0, a1) if n > 2 else ():
                 assert not a.is_upper_unitriangular() and not a.is_lower_unitriangular()
             for a in (a0, a1, s2, g):
                 inv = a.inverse()

@@ -322,8 +322,8 @@ def _by_tag(basis, tag_order):
 def _x_power_stokes_matrices(sector, n):
     """Reference: S1 = A0^{-1} A1 and S2 = A1^{-1} A2 with A_i the X-power
     coordinates of the bases over Z1..Zn (`KClass.coeffs`), inverted by the
-    test oracle `cofactor_inverse`: these A_i mostly have no unit-monomial
-    pivot, so `LaurentMatrix.inverse` refuses them."""
+    test oracle `cofactor_inverse`: `LaurentMatrix.inverse` refuses those
+    A_i that lack a unit-monomial pivot, 18 of the 60 at n = 2..4."""
     bases, order = _three_bases(sector, n)
     a0, a1, a2 = (
         LaurentMatrix([[e.coeffs[j] for e in _by_tag(b, order)] for j in range(n)]) for b in bases
