@@ -161,6 +161,15 @@ _ORDER = _checked(int, lambda k: k >= 1, "a positive integer")
 _TOL = _checked(float, lambda x: 0 <= x < math.inf, "finite and at least 0")
 
 
+def _line_bundle(text: str, n: int) -> ktheory.KClass | None:
+    """The class of O(i), |i| <= 2n, when text reads O(i); None otherwise."""
+    if m := re.fullmatch(r"O\((-?\d+)\)", text.strip()):
+        i = int(m.group(1))
+        _check_exponent(f"line-bundle index O({i})", i, 2 * n)
+        return ktheory.KClass.line_bundle(n, i)
+    return None
+
+
 def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     """Tiny expression syntax for Laurent polynomials in X, Z1..Zn
     (also O(i) for line-bundle classes, |i| <= 2n); ^ means power, with an
@@ -168,11 +177,8 @@ def parse_kclass_expr(text: str, n: int) -> LaurentPoly:
     expression that may build more than CLASS_TERM_LIMIT terms is refused
     before it is evaluated."""
     text = text.strip()
-    m = re.fullmatch(r"O\((-?\d+)\)", text)
-    if m:
-        i = int(m.group(1))
-        _check_exponent(f"line-bundle index O({i})", i, 2 * n)
-        return ktheory.KClass.line_bundle(n, i).to_laurent()
+    if (o := _line_bundle(text, n)) is not None:
+        return o.to_laurent()
     expr = text.replace("^", "**")
     if not _CLASS_TOKEN.match(expr.replace("**", "^").replace("Z", "y")):
         raise ValueError(f"unsupported characters in class expression {text!r}")
@@ -258,6 +264,8 @@ def cmd_gram(args) -> dict:
 
 
 def _mutation_class(text: str, n: int) -> ktheory.KClass:
+    if (o := _line_bundle(text, n)) is not None:  # over E1..En, not through Z1..Zn
+        return o
     p = parse_kclass_expr(text, n)
     for k in (p.valuation("X"), p.degree("X")):
         if k is not None:

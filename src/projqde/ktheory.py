@@ -4,11 +4,13 @@ The algebra is C[X^{±1}, Z_1^{±1}..Z_n^{±1}] / (prod_j (X - Z_j)), with X the
 class of the tautological line bundle O(-1).  A class is stored by its
 coordinates in the line-bundle basis O(0)..O(n-1), where the Euler pairing is
 chi(f, g) = (f^*H) g with H the fixed Beilinson Gram matrix, H_ab =
-chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  A caller that
-pairs f with several classes computes the columns f^*H once and keeps them no
-longer than its own call.  `braid_act` carries the Gram matrix of its slots
-instead, through each move's change of basis, and reads each coefficient and
-each pivot's chi(e, e) = 1 off it.
+chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  H is the same on
+any n consecutive line bundles, so `is_exceptional` and `gram_matrix` pair a
+basis twisted by the O(s) under which its densest class has the fewest terms: a
+Serre twist has hundreds of terms in O(0)..O(n-1), and untwisted as few as its source.
+A caller that pairs f with several classes computes the columns f^*H once, for
+its own call.  `braid_act` carries the Gram matrix of its slots through each
+move's change of basis, and reads each coefficient and pivot's chi(e, e) = 1 off it.
 
 A class takes one of three storage forms, chosen by the input:
 
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, sub
 
 from .ring import (
@@ -141,6 +143,37 @@ def _expand(vs: tuple[str, ...], terms) -> tuple[LaurentPoly, ...]:
     coefficients c in the ring with variables vs."""
     parts = [(c, _o_power_coords(vs, i)) for c, i in terms if not c.is_zero()]
     return tuple(LaurentPoly.sum_of_products(vs, ((c, o[a]) for c, o in parts)) for a in range(len(vs)))
+
+
+def _step(co: tuple[LaurentPoly, ...], d: int) -> tuple[LaurentPoly, ...]:
+    """Coordinates of f O(d), d = +-1: each one moves one slot, and the one that leaves
+    comes back through those of O(n) or O(-1), n monomials over E1..En."""
+    n, zero = len(co), LaurentPoly.zero(co[0].vars)
+    leaving, kept = (co[-1], (zero,) + co[:-1]) if d > 0 else (co[0], co[1:] + (zero,))
+    edge = _o_power_coords(co[0].vars, n if d > 0 else -1)
+    return tuple(x.plus_product(leaving, o) for x, o in zip(kept, edge))
+
+
+def _walk(co: tuple[LaurentPoly, ...], d: int, s: int = 0) -> tuple[int, int]:
+    """(size, s) where f O(s), with coordinates co, stops when stepped by d while its
+    term count falls.  A step removes at most the leaving coordinate and, from each
+    other one, as many terms as that has: a step that cannot shrink f is not taken."""
+    sizes = [len(c.terms) for c in co]
+    edge = sizes.pop(-1 if d > 0 else 0)
+    size = edge + sum(sizes)
+    if edge + sum(abs(x - edge) for x in sizes) < size:
+        nxt = _step(co, d)
+        if sum(len(c.terms) for c in nxt) < size:
+            return _walk(nxt, d, s + d)
+    return size, s
+
+
+def _sparsest_window(els: list["KClass"]) -> list["KClass"]:
+    """The classes times the common line bundle O(s) under which the densest of
+    them has the fewest terms, characters unchanged: chi(f O(s), g O(s)) = chi(f, g)."""
+    densest = max((e._co for e in els), key=lambda co: sum(len(c.terms) for c in co))
+    s = min(_walk(densest, 1), _walk(densest, -1))[1]
+    return [e.twist(-s) for e in els] if s else list(els)
 
 
 @lru_cache(maxsize=None)
@@ -278,8 +311,8 @@ class KClass:
         )
 
     def twist(self, m: int) -> "KClass":
-        """Multiply by X^m (tensor with O(-m)): O(a) -> O(a-m)."""
-        return KClass(_expand(self._co[0].vars, [(c, a - m) for a, c in enumerate(self._co)]), self._char)
+        """Multiply by X^m (tensor with O(-m)): O(a) -> O(a-m), by |m| one-slot steps."""
+        return KClass(reduce(_step, [-1 if m > 0 else 1] * abs(m), self._co), self._char)
 
     def to_json(self) -> dict:
         return {"n": self.n, "coeffs": [c.to_json() for c in self.coeffs]}
@@ -384,9 +417,9 @@ class ExceptionalBasis:
         return self.elements[0].n
 
     def is_exceptional(self) -> bool:
-        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j, with the columns
-        of each e_j taken from its own coordinates; characters are units."""
-        els = _one_ring(self.elements)
+        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j in the sparsest window,
+        the columns of each e_j from its own coordinates there; characters are units."""
+        els = _sparsest_window(_one_ring(self.elements))
         for j, ej in enumerate(els):
             cols = _columns(ej)
             if _pair(cols, ej) != 1 or any(not _pair(cols, ei).is_zero() for ei in els[:j]):
@@ -418,9 +451,9 @@ def beilinson_basis(n: int) -> ExceptionalBasis:
 
 
 def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
-    """G_ij = chi(e_i, e_j) over the coefficient ring of the basis: E1..En
-    when every element is equivariant, Z1..Zn otherwise."""
-    els = _one_ring(basis.elements)
+    """G_ij = chi(e_i, e_j), paired in the sparsest window, over the coefficient ring
+    of the basis: E1..En when every element is equivariant, Z1..Zn otherwise."""
+    els = _sparsest_window(_one_ring(basis.elements))
     rows = [[_pair(cols, ej) for ej in els] for cols in map(_columns, els)]
     if any(any(e._char) for e in els):  # Z^{c_j - c_i} times the entries without characters
         rows = [[_z_times(p, e._char, f._char) for p, f in zip(r, els)] for r, e in zip(rows, els)]

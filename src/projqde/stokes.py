@@ -369,10 +369,9 @@ def half_turn_is_left_dual(sector: SectorId, n: int) -> bool:
 
 
 def stokes_gram(sector: SectorId, n: int) -> LaurentMatrix:
-    """Gram matrix of the sector's basis, taken on its twist by X^{-(k+n-1)}
-    as in `stokes_matrices`, as chi is invariant under a common twist."""
-    els = stokes_basis(sector, n).elements
-    return gram_matrix(ExceptionalBasis([e.twist(-(sector.k + n - 1)) for e in els], verify=False))
+    """Gram matrix of the sector's basis; `gram_matrix` pairs it in its
+    sparsest window, as chi is invariant under a common twist."""
+    return gram_matrix(stokes_basis(sector, n))
 
 
 def gram_stokes_check(sector: SectorId, n: int) -> dict:

@@ -1,8 +1,9 @@
 """Identities and helpers that several test files share and no program code
-calls: substitutions in Laurent polynomials, the product of K-classes, the
-shift operators at the variables (q, z1..zn) and their normal form at
-infinity, the scalar quantum differential equation, and the large-|s|
-asymptotics of the residue series.
+calls: substitutions in Laurent polynomials, the product of K-classes, their
+twist and exceptionality taken in the window O(0)..O(n-1), the shift
+operators at the variables (q, z1..zn) and their normal form at infinity, the
+scalar quantum differential equation, and the large-|s| asymptotics of the
+residue series.
 
 The tests that need the parameters symbolically take z1..zn as Laurent
 polynomials where a builder does not divide, and from sympy where it does:
@@ -28,7 +29,7 @@ from sympy.polys.fields import field
 
 from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import SolutionSeries
-from projqde.ktheory import KClass, _expand, _one_ring
+from projqde.ktheory import KClass, _columns, _expand, _one_ring, _pair
 from projqde.qkz import qkz_operator
 from projqde.ring import LaurentMatrix, LaurentPoly, _norm_coeff, _pow_coeff, elementary_symmetric, unit_pow
 from projqde.stokes import W, _conjugate_by_e, _reduce_w
@@ -109,6 +110,22 @@ def mul_class(f: KClass, g: KClass) -> KClass:
     f, g = _one_ring([f, g])
     terms = [(a * b, i + j) for i, a in enumerate(f._co) for j, b in enumerate(g._co)]
     return KClass(_expand(f._co[0].vars, terms), tuple(map(add, f._char, g._char)))
+
+
+def twist_by_expand(f: KClass, m: int) -> KClass:
+    """f X^m with each coordinate read off the far line bundles O(a - m) at once."""
+    return KClass(_expand(f._co[0].vars, [(c, a - m) for a, c in enumerate(f._co)]), f._char)
+
+
+def is_exceptional_in_window_zero(els: Sequence[KClass]) -> bool:
+    """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j, each class paired as
+    it is stored, in the window O(0)..O(n-1), whatever its size there."""
+    els = _one_ring(els)
+    for j, ej in enumerate(els):
+        cols = _columns(ej)
+        if _pair(cols, ej) != 1 or any(not _pair(cols, ei).is_zero() for ei in els[:j]):
+            return False
+    return True
 
 
 # -- symbolic parameters ----------------------------------------------------------------

@@ -387,6 +387,16 @@ def test_largest_accepted_exponents(capsys):
     assert main(["stokes", "--n", n, "--sector", "vp:-2"]) == 0
 
 
+@pytest.mark.parametrize("n", ["3", "5"])
+def test_mutate_of_line_bundles_matches_their_laurent_form(capsys, n):
+    # O(i) is read over E1..En, X^-i through its Laurent polynomial over Z1..Zn
+    cases = (("left", "O(1)", "O(0)", "X^-1", "1"), ("right", "O(-2)", "O(3)", "X^2", "X^-3"))
+    for side, pivot, target, pivot_x, target_x in cases:
+        code, out = run(capsys, "mutate", "--n", n, "--side", side, "--pivot", pivot, "--target", target)
+        assert code == 0
+        assert run(capsys, "mutate", "--n", n, "--side", side, "--pivot", pivot_x, "--target", target_x) == (0, out)
+
+
 def test_values_with_a_leading_minus(capsys):
     # a braid word that starts with an inverse letter, and negative parameters
     code, out = run(capsys, "gram", "--n", "3", "--word", "-1,2")

@@ -36,7 +36,15 @@ from projqde import ktheory
 from projqde.ktheory import _chi, _h_dual, _o_power_coords, _power_elementary
 from projqde.ring import LAMBDA, LaurentMatrix, LaurentPoly, char_poly, sym_poly, zvars
 
-from identities import coefficient, drop_vars, mul_class, specialize, substitute_monomial
+from identities import (
+    coefficient,
+    drop_vars,
+    is_exceptional_in_window_zero,
+    mul_class,
+    specialize,
+    substitute_monomial,
+    twist_by_expand,
+)
 
 
 def line(n, i):
@@ -310,6 +318,89 @@ def test_verification_checks_the_classes(monkeypatch):
 def _character(f, g):
     """Z^{b-a} over Z1..Zn, for classes f, g stored with characters Z^b, Z^a."""
     return LaurentPoly.monomial(zvars(f.n), [b - a for a, b in zip(g._char, f._char)])
+
+
+# -- pairing in the sparsest window ------------------------------------------------
+
+
+def _perturbed(basis, i, j):
+    """The basis with e_j replaced by e_j + e_i, i < j, e_i moved to the character
+    of e_j so that the sum keeps its ring: chi(e_j + Z^a e_i, e_i) = Z^-a."""
+    els = list(basis.elements)
+    els[j] = els[j] + els[i].scale(_character(els[j], els[i]))
+    return ExceptionalBasis(els, verify=False)
+
+
+@lru_cache(maxsize=None)
+def _window_cases(n):
+    """The C^-n, beta and beta^-1 images of the Beilinson, Qpt, torus-scaled
+    and Z-ring bases at rank n, unverified, each also perturbed by `_perturbed`.
+    The Z-ring C^-n image is left out past n = 5: the oracle takes 7.6 s on it."""
+    rng = random.Random(40 + n)
+    qpt = structured_basis("Qpt", -1, n)
+    chars = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+    z_ring = ExceptionalBasis([e._in_z() for e in beilinson_basis(n).elements], verify=False)
+    beta = braid_constants("beta", n)
+    words = (braid_constants("C", n) ** -n, beta, beta.inverse())
+    images = [
+        braid_act(w, b, verify=False)
+        for b in (beilinson_basis(n), qpt, _scaled(qpt, chars), z_ring)
+        for w in words
+        if n <= 5 or b is not z_ring or w is not words[0]
+    ]
+    return images + [_perturbed(b, rng.randrange(n - 1), n - 1) for b in images]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_window_verdict_matches_the_window_zero_oracle(n):
+    cases = _window_cases(n)
+    verdicts = set()
+    for basis in cases:
+        want = is_exceptional_in_window_zero(basis.elements)
+        assert basis.is_exceptional() == want, (n, basis)
+        verdicts.add(want)
+    assert verdicts == {True, False}
+    for basis in cases[: len(cases) // 2]:  # the images, unperturbed
+        els = ktheory._one_ring(basis.elements)
+        assert gram_matrix(basis).map(lambda p: to_z(p, n)) == LaurentMatrix([[chi_pair(f, g) for g in els] for f in els])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_window_check_rejects_a_perturbed_serre_image(n):
+    for base in (beilinson_basis(n), structured_basis("Qpt", -1, n)):
+        image = braid_act(braid_constants("C", n) ** -n, base)
+        for i, j in ((0, n - 1), (n - 2, n - 1), (0, 1)):
+            els = _perturbed(image, i, j).elements
+            assert ktheory._sparsest_window(list(els)) != list(els)  # the pairing runs at a nonzero shift
+            assert not ExceptionalBasis(els, verify=False).is_exceptional(), (n, base, i, j)
+
+
+def _three_storage_forms(n):
+    rng = random.Random(50 + n)
+    e_form = structured_basis("Qpt", 1, n).elements[-1]
+    return [e_form, e_form.scale(LaurentPoly.monomial(zvars(n), (1,) + (0,) * (n - 1))), rand_kclass(rng, n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_step_and_its_inverse_give_the_coordinates_back(n):
+    for f in _three_storage_forms(n) + [line(n, -n), serre_twist(line(n, 1))]:
+        for d in (1, -1):
+            assert ktheory._step(ktheory._step(f._co, d), -d) == f._co
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_twist_by_steps_matches_the_expansion_oracle(n):
+    for f in _three_storage_forms(n):
+        for m in range(-2 * n, 2 * n + 1):
+            assert f.twist(m) == twist_by_expand(f, m), (n, f, m)
+
+
+def test_the_serre_image_of_qpt_verifies_at_rank_8():
+    # the check pairs the eighth powers of the twist in their own window
+    n = 8
+    base = structured_basis("Qpt", -1, n)
+    image = braid_act(braid_constants("C", n) ** -n, base)
+    assert image.elements == tuple(serre_twist(e) for e in base.elements)
 
 
 @st.composite
