@@ -148,10 +148,10 @@ def _expand(vs: tuple[str, ...], terms) -> tuple[LaurentPoly, ...]:
 def _step(co: tuple[LaurentPoly, ...], d: int) -> tuple[LaurentPoly, ...]:
     """Coordinates of f O(d), d = +-1: each one moves one slot, and the one that leaves
     comes back through those of O(n) or O(-1), n monomials over E1..En."""
-    n, zero = len(co), LaurentPoly.zero(co[0].vars)
-    leaving, kept = (co[-1], (zero,) + co[:-1]) if d > 0 else (co[0], co[1:] + (zero,))
-    edge = _o_power_coords(co[0].vars, n if d > 0 else -1)
-    return tuple(x.plus_product(leaving, o) for x, o in zip(kept, edge))
+    edge = _o_power_coords(co[0].vars, len(co) if d > 0 else -1)
+    if d > 0:
+        return (co[-1] * edge[0],) + tuple(x.plus_product(co[-1], o) for x, o in zip(co, edge[1:]))
+    return tuple(x.plus_product(co[0], o) for x, o in zip(co[1:], edge)) + (co[0] * edge[-1],)
 
 
 def _walk(co: tuple[LaurentPoly, ...], d: int, s: int = 0) -> tuple[int, int]:
