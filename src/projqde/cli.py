@@ -167,7 +167,6 @@ def _line_bundle(text: str, n: int) -> ktheory.KClass | None:
         i = int(m.group(1))
         _check_exponent(f"line-bundle index O({i})", i, 2 * n)
         return ktheory.KClass.line_bundle(n, i)
-    return None
 
 
 def parse_kclass_expr(text: str, n: int) -> LaurentPoly:

@@ -155,13 +155,14 @@ def _step(co: tuple[LaurentPoly, ...], d: int) -> tuple[LaurentPoly, ...]:
 
 
 def _walk(co: tuple[LaurentPoly, ...], d: int, s: int = 0) -> tuple[int, int]:
-    """(size, s) where f O(s), with coordinates co, stops when stepped by d while its
-    term count falls.  A step removes at most the leaving coordinate and, from each
-    other one, as many terms as that has: a step that cannot shrink f is not taken."""
+    """(size, s) where f O(s), coordinates co, stops when stepped by d while its term
+    count falls.  A step removes at most the leaving coordinate and that many terms of
+    each other one: none is taken that cannot shrink f, nor from 2n terms or fewer,
+    where the steps and the twist cost more than the pairing saves."""
     sizes = [len(c.terms) for c in co]
     edge = sizes.pop(-1 if d > 0 else 0)
     size = edge + sum(sizes)
-    if edge + sum(abs(x - edge) for x in sizes) < size:
+    if size > 2 * len(co) and edge + sum(abs(x - edge) for x in sizes) < size:
         nxt = _step(co, d)
         if sum(len(c.terms) for c in nxt) < size:
             return _walk(nxt, d, s + d)

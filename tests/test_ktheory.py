@@ -362,7 +362,8 @@ def test_window_verdict_matches_the_window_zero_oracle(n):
     assert verdicts == {True, False}
     for basis in cases[: len(cases) // 2]:  # the images, unperturbed
         els = ktheory._one_ring(basis.elements)
-        assert gram_matrix(basis).map(lambda p: to_z(p, n)) == LaurentMatrix([[chi_pair(f, g) for g in els] for f in els])
+        want = LaurentMatrix([[chi_pair(f, g) for g in els] for f in els])
+        assert gram_matrix(basis).map(lambda p: to_z(p, n)) == want
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -396,7 +397,7 @@ def test_twist_by_steps_matches_the_expansion_oracle(n):
 
 
 def test_the_serre_image_of_qpt_verifies_at_rank_8():
-    # the check pairs the eighth powers of the twist in their own window
+    # C^-n acts as the Serre twist; the final check pairs the images in their own window
     n = 8
     base = structured_basis("Qpt", -1, n)
     image = braid_act(braid_constants("C", n) ** -n, base)
