@@ -5,12 +5,15 @@ class of the tautological line bundle O(-1).  A class is stored by its
 coordinates in the line-bundle basis O(0)..O(n-1), where the Euler pairing is
 chi(f, g) = (f^*H) g with H the fixed Beilinson Gram matrix, H_ab =
 chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  H is the same on
-any n consecutive line bundles, so `is_exceptional` and `gram_matrix` pair a
-basis twisted by the O(s) under which its densest class has the fewest terms: a
-Serre twist has hundreds of terms in O(0)..O(n-1), and untwisted as few as its source.
-A caller that pairs f with several classes computes the columns f^*H once, for
-its own call.  `braid_act` carries the Gram matrix of its slots through each
-move's change of basis, and reads each coefficient and pivot's chi(e, e) = 1 off it.
+any n consecutive line bundles, so an exceptional basis is paired twisted by the
+O(s) under which its densest class has the fewest terms: a Serre twist has
+hundreds of terms in O(0)..O(n-1), and untwisted as few as its source.  The basis
+keeps that fresh pairing, without characters, once `is_exceptional` or
+`gram_matrix` has made it.  `braid_act` carries the Gram matrix of its slots, from
+the input's kept pairing or paired slot by slot, through each move's change of
+basis, and reads each coefficient and pivot's chi(e, e) = 1 off it; its final
+check pairs the returned classes afresh, so what a basis keeps never comes from
+the moves.
 
 A class takes one of three storage forms, chosen by the input:
 
@@ -386,7 +389,7 @@ def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
 class ExceptionalBasis:
     """Ordered exceptional basis with object labels and optional eigenvalue tags."""
 
-    __slots__ = ("elements", "labels", "eigen_tags")
+    __slots__ = ("elements", "labels", "eigen_tags", "_rows")
 
     def __init__(self, elements, labels=None, eigen_tags=None, verify: bool = True):
         elements = tuple(elements)
@@ -407,6 +410,7 @@ class ExceptionalBasis:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "eigen_tags", eigen_tags)
+        object.__setattr__(self, "_rows", None)
         if verify and not self.is_exceptional():
             raise ValueError("basis is not exceptional (Gram not unitriangular)")
 
@@ -417,15 +421,19 @@ class ExceptionalBasis:
     def n(self) -> int:
         return self.elements[0].n
 
+    def _chi_rows(self) -> tuple:
+        """chi(e_i, e_j) without characters over the ring of `_one_ring(elements)`, the
+        classes paired in their sparsest window on first use and kept: the basis is immutable."""
+        if self._rows is None:
+            els = _sparsest_window(_one_ring(self.elements))
+            rows = tuple(tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     def is_exceptional(self) -> bool:
-        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j in the sparsest window,
-        the columns of each e_j from its own coordinates there; characters are units."""
-        els = _sparsest_window(_one_ring(self.elements))
-        for j, ej in enumerate(els):
-            cols = _columns(ej)
-            if _pair(cols, ej) != 1 or any(not _pair(cols, ei).is_zero() for ei in els[:j]):
-                return False
-        return True
+        """chi(e_j, e_j) = 1 and chi(e_j, e_i) = 0 for i < j, read off the basis's kept
+        pairing (`_chi_rows`): of the classes themselves, never a carried Gram matrix."""
+        return all(r[j] == 1 and all(p.is_zero() for p in r[:j]) for j, r in enumerate(self._chi_rows()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExceptionalBasis):
@@ -452,12 +460,11 @@ def beilinson_basis(n: int) -> ExceptionalBasis:
 
 
 def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
-    """G_ij = chi(e_i, e_j), paired in the sparsest window, over the coefficient ring
-    of the basis: E1..En when every element is equivariant, Z1..Zn otherwise."""
-    els = _sparsest_window(_one_ring(basis.elements))
-    rows = [[_pair(cols, ej) for ej in els] for cols in map(_columns, els)]
-    if any(any(e._char) for e in els):  # Z^{c_j - c_i} times the entries without characters
-        rows = [[_z_times(p, e._char, f._char) for p, f in zip(r, els)] for r, e in zip(rows, els)]
+    """G_ij = chi(e_i, e_j) over the coefficient ring of the basis (E1..En when every
+    element is equivariant, Z1..Zn otherwise), from the basis's kept fresh pairing."""
+    rows, chars = basis._chi_rows(), [e._char for e in _one_ring(basis.elements)]
+    if any(map(any, chars)):  # Z^{c_j - c_i} times the entries without characters
+        rows = [[_z_times(p, a, b) for p, b in zip(r, chars)] for r, a in zip(rows, chars)]
     return LaurentMatrix(rows)
 
 
@@ -550,9 +557,12 @@ def _move_left(els: list, labels: list, rows: list, i: int) -> None:
 def braid_act(word: BraidWord, basis: ExceptionalBasis, verify: bool = True) -> ExceptionalBasis:
     """Left action of a braid word: generator tau_i acts as the slot move at
     n - i, inverse letters as the inverse move.  Letters apply right to left.
-    The final check pairs the returned classes afresh, not the carried Gram matrix."""
-    n = basis.n
-    els, labels, rows = _one_ring(basis.elements), list(basis.labels), [None] * n
+    The carried Gram matrix starts as a copy of the input's kept pairing, if it has
+    one; none is made or kept on the input.  The final check pairs the returned
+    classes afresh, the output keeps that pairing, and each carried row must equal it."""
+    n, kept = basis.n, basis._rows
+    els, labels = _one_ring(basis.elements), list(basis.labels)
+    rows = [list(r) for r in kept] if kept else [None] * n
     for t in reversed(word.letters):
         i = n - abs(t)
         if not 1 <= i <= n - 1:
@@ -561,6 +571,8 @@ def braid_act(word: BraidWord, basis: ExceptionalBasis, verify: bool = True) -> 
     out = ExceptionalBasis(els, labels, verify=False)
     if verify and not out.is_exceptional():
         raise ArithmeticError("braid action produced a non-exceptional basis")
+    if verify and any(r is not None and tuple(r) != f for r, f in zip(rows, out._rows)):
+        raise ArithmeticError("braid action carried a Gram matrix that differs from the pairing")
     return out
 
 

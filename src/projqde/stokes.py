@@ -302,8 +302,10 @@ def gauge_substitution_residual_orders(sol: FormalSolution, order: int) -> list[
 # -- Stokes bases and matrices -----------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def stokes_basis(sector: SectorId, n: int) -> ExceptionalBasis:
-    """The rescaled sorted basis attached to the sector, with eigenvalue tags."""
+    """The rescaled sorted basis attached to the sector, with eigenvalue tags; cached,
+    as the Stokes matrices, the Gram matrix and the half turn all start from it."""
     return structured_basis(sector.basis_kind(), sector.k, n)
 
 

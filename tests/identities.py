@@ -1,6 +1,6 @@
 """Identities and helpers that several test files share and no program code
 calls: substitutions in Laurent polynomials, the product of K-classes, their
-twist and exceptionality taken in the window O(0)..O(n-1), the shift
+twist, exceptionality and Gram matrix taken in the window O(0)..O(n-1), the shift
 operators at the variables (q, z1..zn) and their normal form at infinity, the
 scalar quantum differential equation, and the large-|s| asymptotics of the
 residue series.
@@ -29,7 +29,7 @@ from sympy.polys.fields import field
 
 from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import SolutionSeries
-from projqde.ktheory import KClass, _columns, _expand, _one_ring, _pair
+from projqde.ktheory import KClass, _columns, _expand, _one_ring, _pair, _z_times
 from projqde.qkz import qkz_operator
 from projqde.ring import LaurentMatrix, LaurentPoly, _norm_coeff, _pow_coeff, elementary_symmetric, unit_pow
 from projqde.stokes import W, _conjugate_by_e, _reduce_w
@@ -126,6 +126,17 @@ def is_exceptional_in_window_zero(els: Sequence[KClass]) -> bool:
         if _pair(cols, ej) != 1 or any(not _pair(cols, ei).is_zero() for ei in els[:j]):
             return False
     return True
+
+
+def gram_in_window_zero(els: Sequence[KClass]) -> LaurentMatrix:
+    """chi(e_i, e_j) with the characters Z^{c_j - c_i}, each class paired as it is
+    stored, in the window O(0)..O(n-1), over the ring of the basis: Z1..Zn when a
+    class has a character."""
+    els = _one_ring(els)
+    rows = [[_pair(cols, ej) for ej in els] for cols in map(_columns, els)]
+    if any(any(e._char) for e in els):
+        rows = [[_z_times(p, e._char, f._char) for p, f in zip(r, els)] for r, e in zip(rows, els)]
+    return LaurentMatrix(rows)
 
 
 # -- symbolic parameters ----------------------------------------------------------------

@@ -39,6 +39,7 @@ from projqde.ring import LAMBDA, LaurentMatrix, LaurentPoly, char_poly, sym_poly
 from identities import (
     coefficient,
     drop_vars,
+    gram_in_window_zero,
     is_exceptional_in_window_zero,
     mul_class,
     specialize,
@@ -402,6 +403,87 @@ def test_the_serre_image_of_qpt_verifies_at_rank_8():
     base = structured_basis("Qpt", -1, n)
     image = braid_act(braid_constants("C", n) ** -n, base)
     assert image.elements == tuple(serre_twist(e) for e in base.elements)
+
+
+# -- the kept pairing ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _kept_pairing_cases(n):
+    """(B, w, braid_act(w, B)) for w = beta, beta^-1, C^-n and sigma_odd on the
+    Beilinson, Qpt, torus-scaled and Z-ring bases at rank n, each B built unverified,
+    so without a kept pairing.  The Z-ring C^-n image is left out past n = 5: the
+    window-0 oracle takes seconds on it."""
+    rng = random.Random(60 + n)
+    qpt = structured_basis("Qpt", -1, n)
+    chars = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)]
+    z_ring = ExceptionalBasis([e._in_z() for e in beilinson_basis(n).elements], verify=False)
+    beta = braid_constants("beta", n)
+    words = (beta, beta.inverse(), braid_constants("C", n) ** -n, braid_constants("sigma_odd", n))
+    return [
+        (b, w, braid_act(w, b))
+        for b in (beilinson_basis(n), qpt, _scaled(qpt, chars), z_ring)
+        for w in words
+        if n <= 5 or b is not z_ring or w is not words[2]
+    ]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_the_kept_gram_matrix_is_a_fresh_pairing(n):
+    # the image keeps what its final check paired; it equals the window-0 pairing
+    for _, w, image in _kept_pairing_cases(n):
+        want = gram_in_window_zero(image.elements)
+        got = gram_matrix(image)
+        assert got.vars == want.vars
+        for i in range(n):
+            for j in range(n):
+                assert got[i, j] == want[i, j], (n, w, image, i, j)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_braid_act_from_a_kept_pairing_matches_braid_act_without_one(n):
+    for _, w, image in _kept_pairing_cases(n):
+        assert image._rows is not None
+        bare = ExceptionalBasis(image.elements, image.labels, verify=False)
+        for v in (w, BraidWord((1, -(n - 1), 2))):
+            got, want = braid_act(v, image), braid_act(v, bare)
+            assert got.elements == want.elements and got.labels == want.labels, (n, w, v)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_braid_act_keeps_no_pairing_on_its_input(n):
+    # nor does it replace the one its input keeps: it starts from a copy
+    for base, w, image in _kept_pairing_cases(n):
+        kept = image._rows
+        for verify in (True, False):
+            braid_act(w, base, verify=verify)
+            braid_act(w.inverse(), image, verify=verify)
+            assert base._rows is None and image._rows is kept, (n, w, verify)
+
+
+def test_the_final_check_compares_the_carried_rows(monkeypatch):
+    # one carried entry made wrong after the moves of a one-letter word, so no
+    # later move reads it: the classes stay right, and only the comparison of the
+    # carried rows with the fresh pairing can see it
+    n = 5
+    torus = _scaled(beilinson_basis(n), [(1, 0, -1, 2, 0), (0, 2, 0, 0, 1), (-1, -1, 0, 1, 0), (3, 0, 0, -2, 1), (0,) * n])
+    kept = braid_act(BraidWord((2, -1)), structured_basis("Qpt", -1, n))
+    step = ktheory._gram_step
+
+    def corrupted(rows, a, b, m, md):
+        step(rows, a, b, m, md)
+        rows[a][b] = rows[a][b] + 1
+
+    for basis in (beilinson_basis(n), torus, kept):
+        for letter in (1, -1, n - 1, 2 - n):
+            word = BraidWord((letter,))
+            want = braid_act(word, basis)
+            monkeypatch.setattr(ktheory, "_gram_step", corrupted)
+            with pytest.raises(ArithmeticError):
+                braid_act(word, basis)
+            got = braid_act(word, basis, verify=False)
+            monkeypatch.setattr(ktheory, "_gram_step", step)
+            assert got.elements == want.elements and got.labels == want.labels, (basis, letter)
 
 
 @st.composite
