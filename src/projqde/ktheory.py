@@ -461,7 +461,8 @@ def beilinson_basis(n: int) -> ExceptionalBasis:
 
 def gram_matrix(basis: ExceptionalBasis) -> LaurentMatrix:
     """G_ij = chi(e_i, e_j) over the coefficient ring of the basis (E1..En when every
-    element is equivariant, Z1..Zn otherwise), from the basis's kept fresh pairing."""
+    element is equivariant, Z1..Zn otherwise), from the pairing of its own classes
+    that the basis keeps (`_chi_rows`), never from a carried Gram matrix."""
     rows, chars = basis._chi_rows(), [e._char for e in _one_ring(basis.elements)]
     if any(map(any, chars)):  # Z^{c_j - c_i} times the entries without characters
         rows = [[_z_times(p, a, b) for p, b in zip(r, chars)] for r, a in zip(rows, chars)]

@@ -466,7 +466,8 @@ def test_the_final_check_compares_the_carried_rows(monkeypatch):
     # later move reads it: the classes stay right, and only the comparison of the
     # carried rows with the fresh pairing can see it
     n = 5
-    torus = _scaled(beilinson_basis(n), [(1, 0, -1, 2, 0), (0, 2, 0, 0, 1), (-1, -1, 0, 1, 0), (3, 0, 0, -2, 1), (0,) * n])
+    chars = [(1, 0, -1, 2, 0), (0, 2, 0, 0, 1), (-1, -1, 0, 1, 0), (3, 0, 0, -2, 1), (0,) * n]
+    torus = _scaled(beilinson_basis(n), chars)
     kept = braid_act(BraidWord((2, -1)), structured_basis("Qpt", -1, n))
     step = ktheory._gram_step
 
