@@ -7,13 +7,14 @@ chi(f, g) = (f^*H) g with H the fixed Beilinson Gram matrix, H_ab =
 chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  H is the same on
 any n consecutive line bundles, so an exceptional basis is paired twisted by the
 O(s) under which its densest class has the fewest terms: a Serre twist has
-hundreds of terms in O(0)..O(n-1), and untwisted as few as its source.  The basis
-keeps that fresh pairing, without characters, once `is_exceptional` or
-`gram_matrix` has made it.  `braid_act` carries the Gram matrix of its slots, from
-the input's kept pairing or paired slot by slot, through each move's change of
-basis, and reads each coefficient and pivot's chi(e, e) = 1 off it; its final
-check pairs the returned classes afresh, so what a basis keeps never comes from
-the moves.
+hundreds of terms in O(0)..O(n-1), and untwisted as few as its source.  Every chi
+of the module is read off one pairing, `_pairing`, of classes in that window.  A
+basis keeps its fresh pairing, without characters, once `is_exceptional` or
+`gram_matrix` has made it.  `braid_act` carries the Gram matrix of its slots,
+from the input's kept pairing or a full pairing of its classes, through each
+move's change of basis, and reads each coefficient and pivot's chi(e, e) = 1 off
+it; its final check pairs the returned classes afresh, so what a basis keeps
+never comes from the moves.
 
 A class takes one of three storage forms, chosen by the input:
 
@@ -346,7 +347,7 @@ def serre_twist(e: KClass) -> KClass:
 def _columns(f: KClass) -> tuple[LaurentPoly, ...]:
     """The row vector f^*H over the ring of f, without its character, H the
     Beilinson Gram matrix: column b sums f_a^* h_{b-a}(Z^{-1}) over the nonzero
-    f_a, a <= b.  It depends on f's own coordinates; callers keep it for one call."""
+    f_a, a <= b."""
     vs = f._co[0].vars
     fd = [(a, c.dual()) for a, c in enumerate(f._co) if not c.is_zero()]
     return tuple(
@@ -359,11 +360,11 @@ def _pair(cols: tuple[LaurentPoly, ...], g: KClass) -> LaurentPoly:
     return LaurentPoly.sum_of_products(g._co[0].vars, zip(cols, g._co))
 
 
-def _chi(f: KClass, g: KClass) -> LaurentPoly:
-    """chi(f, g) = (f^*H) g over the common ring of f and g; over Z1..Zn if either has a character."""
-    f, g = _one_ring([f, g])
-    p = _pair(_columns(f), g)
-    return _z_times(p, f._char, g._char) if any(f._char + g._char) else p
+def _pairing(els: list[KClass]) -> tuple:
+    """The rows chi(e_i, e_j), without characters, of classes over one ring, paired
+    in their sparsest window: the one Euler pairing every chi here is read off."""
+    els = _sparsest_window(els)
+    return tuple(tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
 
 
 def _one_ring(els) -> list[KClass]:
@@ -379,8 +380,9 @@ def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
     """Equivariant Euler pairing chi(f, g) as a Laurent polynomial in Z1..Zn,
     sesquilinear over the Laurent ring (dual on the first slot).  Computed in
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
-    and zero otherwise."""
-    return to_z(_chi(f, g), f.n)
+    and zero otherwise, of both classes twisted into their sparsest window."""
+    f, g = _one_ring([f, g])
+    return _z_times(_pairing([f, g])[0][1], f._char, g._char)
 
 
 # -- exceptional bases --------------------------------------------------------------
@@ -425,9 +427,7 @@ class ExceptionalBasis:
         """chi(e_i, e_j) without characters over the ring of `_one_ring(elements)`, the
         classes paired in their sparsest window on first use and kept: the basis is immutable."""
         if self._rows is None:
-            els = _sparsest_window(_one_ring(self.elements))
-            rows = tuple(tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
-            object.__setattr__(self, "_rows", rows)
+            object.__setattr__(self, "_rows", _pairing(_one_ring(self.elements)))
         return self._rows
 
     def is_exceptional(self) -> bool:
@@ -476,15 +476,15 @@ def _mutation(f: KClass, e: KClass, m: LaurentPoly) -> KClass:
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
-    """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e."""
+    """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e, with chi(e,e),
+    chi(e,f) and chi(f,e) read off the pairing of e and f in their sparsest window."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     e, f = _one_ring([e, f])
-    cols = _columns(e)
-    if _pair(cols, e) != 1:
+    (ee, ef), (fe, _) = _pairing([e, f])
+    if ee != 1:
         raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
-    c = _pair(cols, f) if side == "left" else _pair(_columns(f), e).dual()
-    return _mutation(f, e, -c)
+    return _mutation(f, e, -(ef if side == "left" else fe.dual()))
 
 
 # -- braid words and the braid action -----------------------------------------------
@@ -521,27 +521,23 @@ class BraidWord:
 
 
 def _gram_step(rows: list, a: int, b: int, m: LaurentPoly, md: LaurentPoly) -> None:
-    """The made rows of the slots' Gram matrix after x_a -> x_a + m x_b, md = m^*:
-    column a gains column b times m, then row a gains md times row b; rows a and b are made."""
-    for row in filter(None, rows):
+    """The slots' Gram matrix after x_a -> x_a + m x_b, md = m^*: column a gains
+    column b times m, then row a gains md times row b."""
+    for row in rows:
         row[a] = row[a].plus_product(row[b], m)
     rows[a] = [x.plus_product(y, md) for x, y in zip(rows[a], rows[b])]
 
 
 def _move(els: list, labels: list, rows: list, a: int, b: int, side: str) -> None:
     """x_a -> x_a + m x_b by the pivot x_b, m = -chi(x_a, x_b)^* (side R) or
-    -chi(x_b, x_a) (side L) read off the carried Gram matrix; then slots a and
-    b swap.  A slot's row chi(x_r, -) is paired from its own columns on its first move."""
-    for r in (a, b):
-        if rows[r] is None:
-            cols = _columns(els[r])
-            rows[r] = [_pair(cols, x) for x in els]
+    -chi(x_b, x_a) (side L) read off the carried Gram matrix, which the move
+    updates without pairing a class; then slots a and b swap."""
     if rows[b][b] != 1:
         raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
     m, md = (-rows[a][b].dual(), -rows[a][b]) if side == "R" else (-rows[b][a], -rows[b][a].dual())
     els[a], labels[a] = _mutation(els[a], els[b], m), f"{side}({labels[a]}|{labels[b]})"
     _gram_step(rows, a, b, m, md)
-    for xs in [els, labels, rows, *filter(None, rows)]:
+    for xs in [els, labels, rows, *rows]:
         xs[a], xs[b] = xs[b], xs[a]
 
 
@@ -558,12 +554,13 @@ def _move_left(els: list, labels: list, rows: list, i: int) -> None:
 def braid_act(word: BraidWord, basis: ExceptionalBasis, verify: bool = True) -> ExceptionalBasis:
     """Left action of a braid word: generator tau_i acts as the slot move at
     n - i, inverse letters as the inverse move.  Letters apply right to left.
-    The carried Gram matrix starts as a copy of the input's kept pairing, if it has
-    one; none is made or kept on the input.  The final check pairs the returned
-    classes afresh, the output keeps that pairing, and each carried row must equal it."""
-    n, kept = basis.n, basis._rows
+    The carried Gram matrix starts as a copy of the input's kept pairing, or else of
+    a full `_pairing` of its classes; none is made or kept on the input.  The final
+    check pairs the returned classes afresh, the output keeps that pairing, and the
+    carried matrix must equal it."""
+    n = basis.n
     els, labels = _one_ring(basis.elements), list(basis.labels)
-    rows = [list(r) for r in kept] if kept else [None] * n
+    rows = [list(r) for r in basis._rows or _pairing(els)]
     for t in reversed(word.letters):
         i = n - abs(t)
         if not 1 <= i <= n - 1:
@@ -572,7 +569,7 @@ def braid_act(word: BraidWord, basis: ExceptionalBasis, verify: bool = True) -> 
     out = ExceptionalBasis(els, labels, verify=False)
     if verify and not out.is_exceptional():
         raise ArithmeticError("braid action produced a non-exceptional basis")
-    if verify and any(r is not None and tuple(r) != f for r, f in zip(rows, out._rows)):
+    if verify and tuple(map(tuple, rows)) != out._rows:
         raise ArithmeticError("braid action carried a Gram matrix that differs from the pairing")
     return out
 

@@ -341,9 +341,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._t
 
-    def is_constant(self) -> bool:
-        return all(k == 0 for k in self._t)  # key 0 is the monomial 1
-
     def is_unit_monomial(self) -> bool:
         return len(self._t) == 1
 

@@ -33,7 +33,7 @@ from projqde.ktheory import (
     xz_vars,
 )
 from projqde import ktheory
-from projqde.ktheory import _chi, _h_dual, _o_power_coords, _power_elementary
+from projqde.ktheory import _h_dual, _o_power_coords, _power_elementary
 from projqde.ring import LAMBDA, LaurentMatrix, LaurentPoly, char_poly, sym_poly, zvars
 
 from identities import (
@@ -262,8 +262,8 @@ def _pairing_cases():
 
 def test_pairing_by_columns_matches_the_double_sum():
     for basis in _pairing_cases():
-        els = basis.elements
-        assert all(_chi(f, g) == _chi_reference(f, g) for f in els for g in els)
+        els, n = basis.elements, basis.n
+        assert all(chi_pair(f, g) == to_z(_chi_reference(f, g), n) for f in els for g in els)
         if len({e.ring for e in els}) > 1:  # a Gram matrix over Z1..Zn
             els = [e._in_z() for e in els]
         assert gram_matrix(basis) == LaurentMatrix([[_chi_reference(f, g) for g in els] for f in els])
@@ -274,7 +274,32 @@ def test_pairing_by_columns_matches_the_double_sum():
         es = [line(n, -1), exterior_tangent_class(1, 2, n)]
         for f in zs + es:
             for g in zs + es:
-                assert _chi(f, g) == _chi_reference(f, g)
+                assert chi_pair(f, g) == to_z(_chi_reference(f, g), n)
+
+
+def _dense_classes(n):
+    """Classes with many terms in O(0)..O(n-1), in all three storage forms: O(+-2n),
+    Lambda^1 T(-2n), random Z-ring classes twisted by +-2n, and torus-scaled ones."""
+    rng = random.Random(33 + n)
+    z = LaurentPoly.monomial(zvars(n), [rng.randint(-2, 2) for _ in range(n)])
+    es = [line(n, 2 * n), line(n, -2 * n), exterior_tangent_class(1, 2 * n, n)]
+    zs = [rand_kclass(rng, n).twist(m) for m in (2 * n, -2 * n)]
+    return es + zs + [e.scale(z) for e in es[:2] + zs[:1]]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_mutation_and_chi_pair_match_the_double_sum_on_dense_classes(n):
+    # mutate and chi_pair read the same `_pairing` as the basis check, so the
+    # reference here is the window-0 double sum, never that pairing
+    els = _dense_classes(n)
+    pivots = [e for e in els if _chi_reference(e, e) == 1]
+    assert len(pivots) >= 4
+    for f in els:
+        for g in els:
+            assert chi_pair(f, g) == to_z(_chi_reference(f, g), n), (n, f, g)
+        for e in pivots:
+            assert mutate("left", e, f) == f - e.scale(_chi_reference(e, f)), (n, e, f)
+            assert mutate("right", e, f) == f - e.scale(_chi_reference(f, e).dual()), (n, e, f)
 
 
 def test_verification_checks_the_classes(monkeypatch):
@@ -305,8 +330,7 @@ def test_verification_checks_the_classes(monkeypatch):
     # coefficient from it: the row update takes m in place of its dual md
     def dropped_dual(rows, a, b, m, md):
         for row in rows:
-            if row is not None:
-                row[a] = row[a].plus_product(row[b], m)
+            row[a] = row[a].plus_product(row[b], m)
         rows[a] = [x.plus_product(y, m) for x, y in zip(rows[a], rows[b])]
 
     monkeypatch.setattr(ktheory, "_gram_step", dropped_dual)
@@ -448,6 +472,15 @@ def test_braid_act_from_a_kept_pairing_matches_braid_act_without_one(n):
         for v in (w, BraidWord((1, -(n - 1), 2))):
             got, want = braid_act(v, image), braid_act(v, bare)
             assert got.elements == want.elements and got.labels == want.labels, (n, w, v)
+    # bases dense in O(0)..O(n-1), built unverified: their moves start from a full
+    # pairing in the sparsest window, and the images pair as the window-0 oracle does
+    for bare in (structured_basis("Qpt", 2 * n, n), structured_basis("Qppt", -2 * n, n)):
+        assert bare._rows is None
+        kept = ExceptionalBasis(bare.elements, bare.labels, bare.eigen_tags)
+        for v in (braid_constants("beta", n), BraidWord((1, -(n - 1), 2))):
+            got, want = braid_act(v, kept), braid_act(v, bare)
+            assert got.elements == want.elements and got.labels == want.labels, (n, bare, v)
+            assert gram_matrix(want) == gram_in_window_zero(want.elements), (n, bare, v)
 
 
 @pytest.mark.parametrize("n", [3, 4])
