@@ -163,12 +163,12 @@ def _walk(co: tuple[LaurentPoly, ...], d: int, s: int = 0) -> tuple[int, int]:
     count falls.  A step removes at most the leaving coordinate and that many terms of
     each other one: none is taken that cannot shrink f, nor from 2n terms or fewer,
     where the steps and the twist cost more than the pairing saves."""
-    sizes = [len(c.terms) for c in co]
+    sizes = [c.term_count() for c in co]
     edge = sizes.pop(-1 if d > 0 else 0)
     size = edge + sum(sizes)
     if size > 2 * len(co) and edge + sum(abs(x - edge) for x in sizes) < size:
         nxt = _step(co, d)
-        if sum(len(c.terms) for c in nxt) < size:
+        if sum(c.term_count() for c in nxt) < size:
             return _walk(nxt, d, s + d)
     return size, s
 
@@ -176,7 +176,7 @@ def _walk(co: tuple[LaurentPoly, ...], d: int, s: int = 0) -> tuple[int, int]:
 def _sparsest_window(els: list["KClass"]) -> list["KClass"]:
     """The classes times the common line bundle O(s) under which the densest of
     them has the fewest terms, characters unchanged: chi(f O(s), g O(s)) = chi(f, g)."""
-    densest = max((e._co for e in els), key=lambda co: sum(len(c.terms) for c in co))
+    densest = max((e._co for e in els), key=lambda co: sum(c.term_count() for c in co))
     s = min(_walk(densest, 1), _walk(densest, -1))[1]
     return [e.twist(-s) for e in els] if s else list(els)
 
@@ -360,11 +360,12 @@ def _pair(cols: tuple[LaurentPoly, ...], g: KClass) -> LaurentPoly:
     return LaurentPoly.sum_of_products(g._co[0].vars, zip(cols, g._co))
 
 
-def _pairing(els: list[KClass]) -> tuple:
+def _pairing(els: list[KClass]):
     """The rows chi(e_i, e_j), without characters, of classes over one ring, paired
-    in their sparsest window: the one Euler pairing every chi here is read off."""
+    in their sparsest window: the one Euler pairing every chi here is read off.  The
+    rows come lazily, so a reader of the first row pays for the columns of e_1 only."""
     els = _sparsest_window(els)
-    return tuple(tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
+    return (tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
 
 
 def _one_ring(els) -> list[KClass]:
@@ -382,7 +383,7 @@ def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
     and zero otherwise, of both classes twisted into their sparsest window."""
     f, g = _one_ring([f, g])
-    return _z_times(_pairing([f, g])[0][1], f._char, g._char)
+    return _z_times(next(_pairing([f, g]))[1], f._char, g._char)
 
 
 # -- exceptional bases --------------------------------------------------------------
@@ -427,7 +428,7 @@ class ExceptionalBasis:
         """chi(e_i, e_j) without characters over the ring of `_one_ring(elements)`, the
         classes paired in their sparsest window on first use and kept: the basis is immutable."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", _pairing(_one_ring(self.elements)))
+            object.__setattr__(self, "_rows", tuple(_pairing(_one_ring(self.elements))))
         return self._rows
 
     def is_exceptional(self) -> bool:
@@ -477,14 +478,16 @@ def _mutation(f: KClass, e: KClass, m: LaurentPoly) -> KClass:
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
     """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e, with chi(e,e),
-    chi(e,f) and chi(f,e) read off the pairing of e and f in their sparsest window."""
+    chi(e,f) and chi(f,e) read off the pairing of e and f in their sparsest window:
+    its first row only, on the left."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     e, f = _one_ring([e, f])
-    (ee, ef), (fe, _) = _pairing([e, f])
+    rows = _pairing([e, f])
+    ee, ef = next(rows)
     if ee != 1:
         raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
-    return _mutation(f, e, -(ef if side == "left" else fe.dual()))
+    return _mutation(f, e, -(ef if side == "left" else next(rows)[0].dual()))
 
 
 # -- braid words and the braid action -----------------------------------------------
@@ -534,7 +537,8 @@ def _move(els: list, labels: list, rows: list, a: int, b: int, side: str) -> Non
     updates without pairing a class; then slots a and b swap."""
     if rows[b][b] != 1:
         raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
-    m, md = (-rows[a][b].dual(), -rows[a][b]) if side == "R" else (-rows[b][a], -rows[b][a].dual())
+    x = -rows[a][b] if side == "R" else -rows[b][a]
+    m, md = (x.dual(), x) if side == "R" else (x, x.dual())
     els[a], labels[a] = _mutation(els[a], els[b], m), f"{side}({labels[a]}|{labels[b]})"
     _gram_step(rows, a, b, m, md)
     for xs in [els, labels, rows, *rows]:
@@ -646,6 +650,7 @@ def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:
     return LaurentPoly.sum_of_products(vs, pairs)
 
 
+@lru_cache(maxsize=None)
 def canonical_spectrum_poly(n: int) -> LaurentPoly:
     """prod_i (lambda - (-1)^{n-1} Z_i^n / e_n(Z)) in (LAM, E1..En), the
     characteristic polynomial the canonical operator must have."""

@@ -13,9 +13,18 @@ keys, the duality Z_j -> Z_j^{-1} negates one.  Each polynomial bounds its
 one); past the slot limit 2^31 - 1 an operation raises OverflowError rather
 than let two monomials share a key.
 
-Matrix products and the Laplace minors of det (and through it char_poly)
-sum through `LaurentPoly.sum_of_products`, into one dict per entry or minor;
-inverse eliminates on unit-monomial pivots through `plus_product`.
+`_add_product` is the one product loop: `*`, `sum_of_products` and
+`plus_product` all add term products through it.  Matrix products and the
+Laplace minors of det (and through it char_poly) sum through
+`LaurentPoly.sum_of_products`, into one dict per entry or minor; inverse
+eliminates on unit-monomial pivots through `plus_product`.
+
+The polynomials of the K-theory calculus have a handful of terms, so the fixed
+cost of an operation counts as much as its term products, and the frequent
+ones take short paths: `plus_product` (self + y s) copies self's terms and
+calls `_add_product` once, without the pair loop of `sum_of_products`;
+`_raw` sets the three slots through their own descriptors; and `==` against
+a plain int compares the terms with those of the constant, without making it.
 
 Values are immutable after construction and every operation is pure.
 """
@@ -102,7 +111,7 @@ def _refit(p: "LaurentPoly", q: "LaurentPoly") -> int:
     again: along a chain of products the bounds add up, the exponents may not."""
     for f in (p, q):
         n = len(f.vars)
-        object.__setattr__(f, "_b", max((max(map(abs, _unpack(k, n))) for k in f._t), default=0))
+        _set_b(f, max((max(map(abs, _unpack(k, n))) for k in f._t), default=0))
     b = p._b + q._b
     if b > _LIMIT:
         raise OverflowError(f"exponent bound {b} passes the slot limit {_LIMIT}")
@@ -183,9 +192,9 @@ class LaurentPoly:
         if b > _LIMIT:
             raise OverflowError(f"exponent bound {b} passes the slot limit {_LIMIT}")
         self = object.__new__(cls)
-        object.__setattr__(self, "vars", vars)
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_b", b)
+        _set_vars(self, vars)
+        _set_t(self, t)
+        _set_b(self, b)
         return self
 
     @property
@@ -307,10 +316,19 @@ class LaurentPoly:
         return cls._raw(vs, tm, b)
 
     def plus_product(self, y: "LaurentPoly", s: "LaurentPoly") -> "LaurentPoly":
-        """self + y * s, summed as `sum_of_products` sums (self, 1), (y, s); self if y or s is 0."""
-        if y._t and s._t or y.vars != self.vars or s.vars != self.vars:
-            return LaurentPoly.sum_of_products(self.vars, ((y, s),), self)
-        return self
+        """self + y * s: self's terms, then the products, as `sum_of_products` sums
+        (self, 1), (y, s), and with its bound; self if y or s is 0."""
+        vs = self.vars
+        if y.vars != vs or s.vars != vs:
+            raise ValueError(f"variable-context mismatch: {y.vars} * {s.vars} in {vs}")
+        if not (y._t and s._t):
+            return self
+        b = y._b + s._b
+        if b > _LIMIT:
+            b = _refit(y, s)
+        tm = dict(self._t)
+        _add_product(tm, y._t, s._t)
+        return LaurentPoly._raw(vs, tm, max(self._b, b))
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if not isinstance(k, int):
@@ -328,6 +346,8 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other) -> bool:
+        if type(other) is int:  # the constant's terms, {} for 0, as the constructor packs them
+            return self._t == ({0: other} if other else {})
         if isinstance(other, (int, Fraction)):
             other = LaurentPoly.constant(self.vars, other)
         if not isinstance(other, LaurentPoly):
@@ -343,6 +363,10 @@ class LaurentPoly:
 
     def is_unit_monomial(self) -> bool:
         return len(self._t) == 1
+
+    def term_count(self) -> int:
+        """The number of terms, read off `_t` without making the `terms` view."""
+        return len(self._t)
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self._decoded())
@@ -448,6 +472,10 @@ class LaurentPoly:
         return out.replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+# the slots' own setters, for `_raw`: LaurentPoly.__setattr__ refuses every assignment
+_set_vars, _set_t, _set_b = (d.__set__ for d in (LaurentPoly.vars, LaurentPoly._t, LaurentPoly._b))
 
 
 def unit_pow(p: LaurentPoly, k: int) -> LaurentPoly:

@@ -409,7 +409,14 @@ def _formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int
     whose determinant is det(lambda S1 S2 - c) / det S2 = det(lambda S1 S2 - c),
     as `stokes_matrices` asserts S2 lower unitriangular."""
     char = char_poly(s1, s2.inverse() * unit_c(n))
-    return char - spectrum_poly(n, LaurentPoly.one(evars(n)))
+    return char - _formal_monodromy_spectrum(n)
+
+
+@lru_cache(maxsize=None)
+def _formal_monodromy_spectrum(n: int) -> LaurentPoly:
+    """prod_j (lambda - Z_j^n) in (LAM, E1..En), the characteristic polynomial the
+    formal monodromy must have."""
+    return spectrum_poly(n, LaurentPoly.one(evars(n)))
 
 
 # -- roots of unity --------------------------------------------------------------------------

@@ -288,18 +288,28 @@ def _dense_classes(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_mutation_and_chi_pair_match_the_double_sum_on_dense_classes(n):
+def test_mutation_and_chi_pair_match_the_double_sum_on_dense_classes(n, monkeypatch):
     # mutate and chi_pair read the same `_pairing` as the basis check, so the
-    # reference here is the window-0 double sum, never that pairing
+    # reference here is the window-0 double sum, never that pairing.  Its rows
+    # come lazily: chi_pair and a left mutation build the columns of their first
+    # class only, a right mutation those of both classes.
+    built = []
+    columns = ktheory._columns
+    monkeypatch.setattr(ktheory, "_columns", lambda f: built.append(f) or columns(f))
     els = _dense_classes(n)
     pivots = [e for e in els if _chi_reference(e, e) == 1]
     assert len(pivots) >= 4
     for f in els:
         for g in els:
+            built.clear()
             assert chi_pair(f, g) == to_z(_chi_reference(f, g), n), (n, f, g)
+            assert len(built) == 1
         for e in pivots:
+            built.clear()
             assert mutate("left", e, f) == f - e.scale(_chi_reference(e, f)), (n, e, f)
+            assert len(built) == 1
             assert mutate("right", e, f) == f - e.scale(_chi_reference(f, e).dual()), (n, e, f)
+            assert len(built) == 3
 
 
 def test_verification_checks_the_classes(monkeypatch):

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from projqde.ring import (
@@ -569,6 +569,58 @@ def test_sum_of_products_fractions_and_contexts():
     ):
         with pytest.raises(ValueError):
             thunk()
+
+
+def _outcome(thunk):
+    """A polynomial as its context, terms in order and bound, or the ValueError raised."""
+    try:
+        p = thunk()
+    except ValueError as exc:
+        return str(exc)
+    return p.vars, list(p._t.items()), p._b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_term_dicts(maps=3), st.sampled_from(["", "y", "s"]), st.sampled_from(["", "y", "s"]))
+@example(case=(V2, {(9, 0): 1}, {(1, 0): 2}, {(0, -1): 3}), zero="", elsewhere="")  # self's bound is the larger
+def test_plus_product_is_the_one_pair_sum_of_products(case, zero, elsewhere):
+    # zero: the factor made 0; elsewhere: the factor put in another context
+    vs, tx, ty, ts = case
+    x = LaurentPoly(vs, tx)
+    f = {name: LaurentPoly(vs, {} if name == zero else t) for name, t in (("y", ty), ("s", ts))}
+    if elsewhere:
+        f[elsewhere] = f[elsewhere].with_vars(("W",) + vs)
+    y, s = f["y"], f["s"]
+    got = _outcome(lambda: x.plus_product(y, s))
+    assert got == _outcome(lambda: LaurentPoly.sum_of_products(vs, ((y, s),), x))
+    assert isinstance(got, str) == bool(elsewhere)
+    if zero and not elsewhere:
+        assert x.plus_product(y, s) is x
+
+
+@pytest.mark.parametrize("vs", [(), V2, evars(3)])
+def test_equality_with_a_number_is_equality_with_its_constant(vs):
+    polys = [LaurentPoly.constant(vs, c) for c in (0, 1, -3, Fraction(1, 2))]
+    if vs:
+        polys += [LaurentPoly.variable(vs, vs[0]) + 1, LaurentPoly.variable(vs, vs[-1], -2) * Fraction(1, 2) - 3]
+    for p in polys:
+        for c in (0, 1, -3, True, Fraction(1), Fraction(1, 2)):
+            const = LaurentPoly.constant(vs, c)
+            assert (p == c) == (c == p) == (p == const), (p, c)
+            assert (p != c) == (c != p) == (p != const), (p, c)
+    zero, one = polys[:2]
+    assert zero == 0 and zero != 1 and one == 1 and one == True and one != -3 and one == Fraction(1)
+    assert polys[2] == -3 and polys[3] == Fraction(1, 2) and polys[3] != 0
+
+
+def test_operation_results_stay_immutable():
+    z1, z2 = LaurentPoly.variable(V2, "Z1"), LaurentPoly.variable(V2, "Z2")
+    for p in (z1.plus_product(z1, z2), z1 * z2, z1 + z2, z1.dual(), LaurentPoly.sum_of_products(V2, [(z1, z2)])):
+        before = _outcome(lambda: p)
+        for name, value in (("vars", V3), ("_t", {}), ("_b", 0), ("_terms", None)):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        assert _outcome(lambda: p) == before
 
 
 def test_terms_is_a_read_only_view():
