@@ -8,13 +8,14 @@ chi(O(a), O(b)) = h_{b-a}(Z^{-1}) for a <= b and 0 otherwise.  H is the same on
 any n consecutive line bundles, so an exceptional basis is paired twisted by the
 O(s) under which its densest class has the fewest terms: a Serre twist has
 hundreds of terms in O(0)..O(n-1), and untwisted as few as its source.  Every chi
-of the module is read off one pairing, `_pairing`, of classes in that window.  A
-basis keeps its fresh pairing, without characters, once `is_exceptional` or
-`gram_matrix` has made it.  `braid_act` carries the Gram matrix of its slots,
-from the input's kept pairing or a full pairing of its classes, through each
-move's change of basis, and reads each coefficient and pivot's chi(e, e) = 1 off
-it; its final check pairs the returned classes afresh, so what a basis keeps
-never comes from the moves.
+of the module is paired in that window by `_columns` and `_pair`: a basis in full
+(`_pairing`), `chi_pair` and `mutate` only the entries they read.  A basis keeps
+its fresh pairing, without characters, once `is_exceptional` or `gram_matrix` has
+made it.  `braid_act` carries the Gram matrix of its slots, from the input's kept
+pairing or a full pairing of its classes, through each move's change of basis,
+and reads each coefficient and pivot's chi(e, e) = 1 off it; its final check
+pairs the returned classes afresh, so what a basis keeps never comes from the
+moves.
 
 A class takes one of three storage forms, chosen by the input:
 
@@ -360,12 +361,11 @@ def _pair(cols: tuple[LaurentPoly, ...], g: KClass) -> LaurentPoly:
     return LaurentPoly.sum_of_products(g._co[0].vars, zip(cols, g._co))
 
 
-def _pairing(els: list[KClass]):
+def _pairing(els: list[KClass]) -> tuple:
     """The rows chi(e_i, e_j), without characters, of classes over one ring, paired
-    in their sparsest window: the one Euler pairing every chi here is read off.  The
-    rows come lazily, so a reader of the first row pays for the columns of e_1 only."""
+    in their sparsest window by `_columns` and `_pair`, as every chi here is."""
     els = _sparsest_window(els)
-    return (tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
+    return tuple(tuple(_pair(cols, ej) for ej in els) for cols in map(_columns, els))
 
 
 def _one_ring(els) -> list[KClass]:
@@ -382,8 +382,8 @@ def chi_pair(f: KClass, g: KClass) -> LaurentPoly:
     sesquilinear over the Laurent ring (dual on the first slot).  Computed in
     the line-bundle basis, where chi(O(a), O(b)) is h_{b-a}(Z^{-1}) for a <= b
     and zero otherwise, of both classes twisted into their sparsest window."""
-    f, g = _one_ring([f, g])
-    return _z_times(next(_pairing([f, g]))[1], f._char, g._char)
+    f, g = _sparsest_window(_one_ring([f, g]))
+    return _z_times(_pair(_columns(f), g), f._char, g._char)
 
 
 # -- exceptional bases --------------------------------------------------------------
@@ -428,7 +428,7 @@ class ExceptionalBasis:
         """chi(e_i, e_j) without characters over the ring of `_one_ring(elements)`, the
         classes paired in their sparsest window on first use and kept: the basis is immutable."""
         if self._rows is None:
-            object.__setattr__(self, "_rows", tuple(_pairing(_one_ring(self.elements))))
+            object.__setattr__(self, "_rows", _pairing(_one_ring(self.elements)))
         return self._rows
 
     def is_exceptional(self) -> bool:
@@ -477,17 +477,16 @@ def _mutation(f: KClass, e: KClass, m: LaurentPoly) -> KClass:
 
 
 def mutate(side: str, e: KClass, f: KClass) -> KClass:
-    """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e, with chi(e,e),
-    chi(e,f) and chi(f,e) read off the pairing of e and f in their sparsest window:
-    its first row only, on the left."""
+    """Left mutation f - chi(e,f) e or right mutation f - chi(f,e)^* e: chi(e,e) and
+    the one other chi it reads are paired in the sparsest window of e and f."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     e, f = _one_ring([e, f])
-    rows = _pairing([e, f])
-    ee, ef = next(rows)
-    if ee != 1:
+    we, wf = _sparsest_window([e, f])
+    cols = _columns(we)
+    if _pair(cols, we) != 1:
         raise ValueError("mutation pivot is not exceptional (chi(e,e) != 1)")
-    return _mutation(f, e, -(ef if side == "left" else next(rows)[0].dual()))
+    return _mutation(f, e, -(_pair(cols, wf) if side == "left" else _pair(_columns(wf), we).dual()))
 
 
 # -- braid words and the braid action -----------------------------------------------
@@ -638,23 +637,19 @@ def _power_elementary(n: int) -> tuple[LaurentPoly, ...]:
     return tuple(out + [_en_power(n, n) * out[n - j].dual() for j in range(half + 1, n + 1)])
 
 
-def spectrum_poly(n: int, scale: LaurentPoly) -> LaurentPoly:
-    """prod_i (lambda - scale Z_i^n) in (LAM, E1..En) for scale over E1..En,
-    through the elementary symmetric functions:
-    sum_j lambda^{n-j} (-scale)^j e_j(Z^n)."""
-    vs = (LAMBDA,) + scale.vars
+@lru_cache(maxsize=None)
+def canonical_spectrum_poly(n: int) -> LaurentPoly:
+    """prod_i (lambda - Z_i^n / c) in (LAM, E1..En), c = (-1)^{n-1} e_n(Z): the
+    characteristic polynomial the canonical operator must have, as
+    sum_j lambda^{n-j} (-1/c)^j e_j(Z^n).  c^n times it at lambda / c is
+    prod_i (lambda - Z_i^n), the target of the formal monodromy c (S1 S2)^{-1},
+    so `gram_stokes_check` needs no second target."""
+    vs, scale = (LAMBDA,) + evars(n), -unit_c(n, -1)
     pairs = (
-        (((-scale) ** j * ej).with_vars(vs), LaurentPoly.variable(vs, LAMBDA, n - j))
+        ((scale**j * ej).with_vars(vs), LaurentPoly.variable(vs, LAMBDA, n - j))
         for j, ej in enumerate(_power_elementary(n))
     )
     return LaurentPoly.sum_of_products(vs, pairs)
-
-
-@lru_cache(maxsize=None)
-def canonical_spectrum_poly(n: int) -> LaurentPoly:
-    """prod_i (lambda - (-1)^{n-1} Z_i^n / e_n(Z)) in (LAM, E1..En), the
-    characteristic polynomial the canonical operator must have."""
-    return spectrum_poly(n, unit_c(n, -1))
 
 
 def dioph_residual(gram: LaurentMatrix, n: int) -> LaurentPoly:

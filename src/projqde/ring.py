@@ -295,15 +295,12 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     @classmethod
-    def sum_of_products(cls, vars: Sequence[str], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]], start=None):
-        """start (zero if None) plus sum a * b over the pairs (a, b) of polynomials
-        in the context vars, summed into one dict after start's terms; its bound is
-        the largest of start's and of a._b + b._b over the pairs whose factors are
-        both nonzero."""
+    def sum_of_products(cls, vars: Sequence[str], pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]):
+        """sum a * b over the pairs (a, b) of polynomials in the context vars,
+        summed into one dict; its bound is the largest a._b + b._b over the pairs
+        whose factors are both nonzero."""
         vs = tuple(vars)
-        if start is not None and start.vars != vs:
-            raise ValueError(f"variable-context mismatch: {start.vars} in {vs}")
-        tm, b = ({}, 0) if start is None else (dict(start._t), start._b)
+        tm, b = {}, 0
         for p, q in pairs:
             if p.vars != vs or q.vars != vs:
                 raise ValueError(f"variable-context mismatch: {p.vars} * {q.vars} in {vs}")

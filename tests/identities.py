@@ -1,5 +1,6 @@
 """Identities and helpers that several test files share and no program code
-calls: substitutions in Laurent polynomials, the product of K-classes, their
+calls: substitutions in Laurent polynomials, the adjugate inverse, the formal
+monodromy's own characteristic polynomial, the product of K-classes, their
 twist, exceptionality and Gram matrix taken in the window O(0)..O(n-1), the shift
 operators at the variables (q, z1..zn) and their normal form at infinity, the
 scalar quantum differential equation, and the large-|s| asymptotics of the
@@ -29,9 +30,19 @@ from sympy.polys.fields import field
 
 from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import SolutionSeries
-from projqde.ktheory import KClass, _columns, _expand, _one_ring, _pair, _z_times
+from projqde.ktheory import KClass, _columns, _expand, _one_ring, _pair, _z_times, to_z, unit_c
 from projqde.qkz import qkz_operator
-from projqde.ring import LaurentMatrix, LaurentPoly, _norm_coeff, _pow_coeff, elementary_symmetric, unit_pow
+from projqde.ring import (
+    LAMBDA,
+    LaurentMatrix,
+    LaurentPoly,
+    _norm_coeff,
+    _pow_coeff,
+    char_poly,
+    elementary_symmetric,
+    unit_pow,
+    zvars,
+)
 from projqde.stokes import W, _conjugate_by_e, _reduce_w
 
 # -- Laurent polynomials --------------------------------------------------------------
@@ -100,6 +111,19 @@ def cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
             row.append((-cof if (i + j) % 2 else cof) * dinv)
         rows.append(row)
     return LaurentMatrix(rows)
+
+
+def formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int) -> LaurentPoly:
+    """det(lambda - c (S2 S1)^{-1}) - prod_j (lambda - Z_j^n) over (LAM, Z1..Zn),
+    c = (-1)^{n-1} e_n(Z): the formal monodromy's own Laplace pencil, on the sparser
+    lambda S1 - c S2^{-1} (det S1 = 1), against its target multiplied out factor by
+    factor, not through Newton's identities."""
+    char = to_z(char_poly(s1, s2.inverse() * unit_c(n)), n)
+    lam = LaurentPoly.variable(char.vars, LAMBDA)
+    target = LaurentPoly.one(char.vars)
+    for z in zvars(n):
+        target = target * (lam - LaurentPoly.variable(char.vars, z, n))
+    return char - target
 
 
 # -- K-classes ------------------------------------------------------------------------

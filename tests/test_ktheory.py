@@ -289,27 +289,31 @@ def _dense_classes(n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_mutation_and_chi_pair_match_the_double_sum_on_dense_classes(n, monkeypatch):
-    # mutate and chi_pair read the same `_pairing` as the basis check, so the
-    # reference here is the window-0 double sum, never that pairing.  Its rows
-    # come lazily: chi_pair and a left mutation build the columns of their first
-    # class only, a right mutation those of both classes.
-    built = []
-    columns = ktheory._columns
+    # mutate and chi_pair pair by the same `_columns` and `_pair` as the basis
+    # check, so the reference here is the window-0 double sum.  Each pairs
+    # only what it reads: chi_pair chi(f, g) from the columns of f; a left
+    # mutation chi(e, e) and chi(e, f) from those of e; a right one chi(e, e)
+    # and chi(f, e) from those of e and f.
+    built, paired = [], []
+    columns, pair = ktheory._columns, ktheory._pair
     monkeypatch.setattr(ktheory, "_columns", lambda f: built.append(f) or columns(f))
+    monkeypatch.setattr(ktheory, "_pair", lambda cols, g: paired.append(g) or pair(cols, g))
     els = _dense_classes(n)
     pivots = [e for e in els if _chi_reference(e, e) == 1]
     assert len(pivots) >= 4
     for f in els:
         for g in els:
             built.clear()
+            paired.clear()
             assert chi_pair(f, g) == to_z(_chi_reference(f, g), n), (n, f, g)
-            assert len(built) == 1
+            assert (len(built), len(paired)) == (1, 1)
         for e in pivots:
-            built.clear()
-            assert mutate("left", e, f) == f - e.scale(_chi_reference(e, f)), (n, e, f)
-            assert len(built) == 1
-            assert mutate("right", e, f) == f - e.scale(_chi_reference(f, e).dual()), (n, e, f)
-            assert len(built) == 3
+            for side, reference, counts in (("left", _chi_reference(e, f), (1, 2)),
+                                            ("right", _chi_reference(f, e).dual(), (2, 2))):
+                built.clear()
+                paired.clear()
+                assert mutate(side, e, f) == f - e.scale(reference), (n, side, e, f)
+                assert (len(built), len(paired)) == counts, (n, side)
 
 
 def test_verification_checks_the_classes(monkeypatch):

@@ -559,10 +559,9 @@ def test_sum_of_products_fractions_and_contexts():
         LaurentPoly.sum_of_products(V2, [(z1, LaurentPoly.one(V3))])
     with pytest.raises(ValueError):
         LaurentPoly.sum_of_products(V3, [(z1, z1)])
-    # a start term and the factors of x + y s live in the context too
-    assert LaurentPoly.sum_of_products(V2, [(half, z1)], z1) == z1 * Fraction(3, 2)
+    # the factors of x + y s live in the context too
+    assert LaurentPoly.sum_of_products(V2, [(z1, LaurentPoly.one(V2)), (half, z1)]) == z1 * Fraction(3, 2)
     for thunk in (
-        lambda: LaurentPoly.sum_of_products(V3, [], z1),
         lambda: z1.plus_product(LaurentPoly.one(V3), z1),
         lambda: z1.plus_product(z1, LaurentPoly.one(V3)),
         lambda: z1.plus_product(LaurentPoly.zero(V3), z1),
@@ -592,7 +591,7 @@ def test_plus_product_is_the_one_pair_sum_of_products(case, zero, elsewhere):
         f[elsewhere] = f[elsewhere].with_vars(("W",) + vs)
     y, s = f["y"], f["s"]
     got = _outcome(lambda: x.plus_product(y, s))
-    assert got == _outcome(lambda: LaurentPoly.sum_of_products(vs, ((y, s),), x))
+    assert got == _outcome(lambda: LaurentPoly.sum_of_products(vs, [(x, LaurentPoly.one(vs)), (y, s)]))
     assert isinstance(got, str) == bool(elsewhere)
     if zero and not elsewhere:
         assert x.plus_product(y, s) is x

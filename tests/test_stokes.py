@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from projqde import stokes
+from projqde import ktheory, stokes
 from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import QSolution
 from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix, to_z
@@ -25,7 +25,6 @@ from projqde.stokes import (
     _at_unity_roots,
     _conjugate_by_e,
     _evaluate,
-    _formal_monodromy_char_residual,
     _reduce_w,
     _rk4_linear,
     antisymmetric_v_exact,
@@ -53,6 +52,7 @@ from identities import (
     BranchContext,
     cofactor_inverse,
     drop_vars,
+    formal_monodromy_char_residual,
     gram_in_window_zero,
     parameter_variables,
     qkz_normal_form,
@@ -407,8 +407,51 @@ def test_char_poly_checks_reject_shifted_entries(n):
     assert dioph_residual(g, n).is_zero()
     assert not dioph_residual(_shift_entry(g, 0, 1, e1), n).is_zero()
     s1, s2 = stokes_matrices(SectorId("Vprime", 0), n)
-    assert _formal_monodromy_char_residual(s1, s2, n).is_zero()
-    assert not _formal_monodromy_char_residual(_shift_entry(s1, 0, 1, e1), s2, n).is_zero()
+    assert formal_monodromy_char_residual(s1, s2, n).is_zero()
+    assert not formal_monodromy_char_residual(_shift_entry(s1, 0, 1, e1), s2, n).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_formal_monodromy_verdict_matches_its_own_pencil(n):
+    # gram_stokes_check reads the formal-monodromy identity off Stokes = Gram and
+    # the Gram pencil; the oracle runs the formal monodromy's own pencil
+    for kind in ("Vprime", "Vdprime"):
+        for k in range(-2, 3):
+            rep = gram_stokes_check(SectorId(kind, k), n)
+            zero = formal_monodromy_char_residual(rep["s1"], rep["s2"], n).is_zero()
+            assert rep["formal_monodromy"] and zero, (n, kind, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("which, entry", [(0, (0, 1)), (1, (1, 0))])
+def test_formal_monodromy_fails_on_a_shifted_stokes_entry(n, which, entry, monkeypatch):
+    # one entry of S1, then of S2, shifted within its triangle: the verdict and
+    # the oracle's residual both fail
+    e1 = LaurentPoly.variable(evars(n), "E1")
+    matrices = stokes.stokes_matrices
+
+    def shifted(sector, n):
+        s = list(matrices(sector, n))
+        s[which] = _shift_entry(s[which], *entry, e1)
+        return tuple(s)
+
+    monkeypatch.setattr(stokes, "stokes_matrices", shifted)
+    for kind in ("Vprime", "Vdprime"):
+        rep = gram_stokes_check(SectorId(kind, 0), n)
+        assert not rep["formal_monodromy"], (n, kind)
+        assert not formal_monodromy_char_residual(rep["s1"], rep["s2"], n).is_zero(), (n, kind)
+
+
+def test_gram_stokes_check_runs_one_pencil(monkeypatch):
+    calls = []
+    pencil = ktheory.char_poly
+    monkeypatch.setattr(ktheory, "char_poly", lambda a, b: calls.append(a) or pencil(a, b))
+    assert not hasattr(stokes, "char_poly")
+    for n in (2, 3, 4):
+        for kind in ("Vprime", "Vdprime"):
+            calls.clear()
+            assert gram_stokes_check(SectorId(kind, 1), n)["formal_monodromy"]
+            assert len(calls) == 1, (n, kind)
 
 
 def test_stokes_entries_symmetric_in_parameters():
