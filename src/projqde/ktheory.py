@@ -55,9 +55,9 @@ from .ring import (
     LAMBDA,
     LaurentMatrix,
     LaurentPoly,
-    char_poly,
     evars,
     sym_poly,
+    unit_pow,
     zvars,
 )
 
@@ -613,10 +613,19 @@ def dual_basis(side: str, basis: ExceptionalBasis) -> ExceptionalBasis:
 # -- canonical operator and Diophantine constraints ----------------------------------
 
 
-def canonical_char_poly(gram: LaurentMatrix, n: int) -> LaurentPoly:
+def canonical_char_poly(gram: LaurentMatrix) -> LaurentPoly:
     """det(lambda - G^{-1} G†) as a Laurent polynomial in (LAM,) + the ring of
-    the rank-n Gram matrix G, computed as det(lambda G - G†) / det G."""
-    return char_poly(gram, gram.dagger())
+    the Gram matrix G, computed as det(lambda G - G†) / det G, so G is never
+    inverted; det G must be a unit monomial."""
+    vs = (LAMBDA,) + gram.vars
+    lam = LaurentPoly.variable(vs, LAMBDA)
+    pencil = LaurentMatrix(
+        [
+            [lam * x.with_vars(vs) - y.with_vars(vs) for x, y in zip(ra, rb)]
+            for ra, rb in zip(gram.entries, gram.dagger().entries)
+        ]
+    )
+    return pencil.det() * unit_pow(gram.det(), -1).with_vars(vs)
 
 
 @lru_cache(maxsize=None)
@@ -658,7 +667,7 @@ def dioph_residual(gram: LaurentMatrix, n: int) -> LaurentPoly:
     identically zero on Gram matrices of bases of the K-theory algebra."""
     if gram.rows != n or gram.cols != n:
         raise ValueError("Gram matrix size does not match rank")
-    return _residuals(gram, n, [(canonical_char_poly(gram, n), canonical_spectrum_poly(n))])[0]
+    return _residuals(gram, n, [(canonical_char_poly(gram), canonical_spectrum_poly(n))])[0]
 
 
 def _residuals(gram: LaurentMatrix, n: int, pairs) -> list[LaurentPoly]:

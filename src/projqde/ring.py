@@ -15,9 +15,9 @@ than let two monomials share a key.
 
 `_add_product` is the one product loop: `*`, `sum_of_products` and
 `plus_product` all add term products through it.  Matrix products and the
-Laplace minors of det (and through it char_poly) sum through
-`LaurentPoly.sum_of_products`, into one dict per entry or minor; inverse
-eliminates on unit-monomial pivots through `plus_product`.
+Laplace minors of det sum through `LaurentPoly.sum_of_products`, into one
+dict per entry or minor; inverse eliminates on unit-monomial pivots through
+`plus_product`.
 
 The polynomials of the K-theory calculus have a handful of terms, so the fixed
 cost of an operation counts as much as its term products, and the frequent
@@ -677,11 +677,14 @@ class LaurentMatrix:
                     return False
         return True
 
-    def _minors(self) -> Callable[[tuple[int, ...]], LaurentPoly]:
-        """Laplace minors: minor(cols) is the determinant of the last len(cols)
-        rows restricted to the columns cols, summed by `sum_of_products` over
-        the pairs (+-a, sub-minor), a running over the nonzero entries of the
-        first of those rows.  Column subsets are memoized."""
+    def det(self) -> LaurentPoly:
+        """Determinant by Laplace expansion along the first row, with
+        column-subset memoization: minor(cols) is the determinant of the last
+        len(cols) rows restricted to the columns cols, summed by
+        `sum_of_products` over the pairs (+-a, sub-minor), a running over the
+        nonzero entries of the first of those rows."""
+        if self.rows != self.cols:
+            raise ValueError("determinant of non-square matrix")
         vs, rows = self.vars, self.entries
         cache: dict[tuple[int, ...], LaurentPoly] = {(): LaurentPoly.one(vs)}
 
@@ -697,13 +700,7 @@ class LaurentMatrix:
             cache[cols] = LaurentPoly.sum_of_products(vs, pairs)
             return cache[cols]
 
-        return minor
-
-    def det(self) -> LaurentPoly:
-        """Determinant by Laplace expansion with column-subset memoization."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        return self._minors()(tuple(range(self.rows)))
+        return minor(tuple(range(self.rows)))
 
     def inverse(self) -> "LaurentMatrix":
         """Exact inverse over the Laurent ring, by Gauss-Jordan elimination on
@@ -740,25 +737,6 @@ class LaurentMatrix:
 
 
 LAMBDA = "LAM"  # the eigenvalue variable of characteristic polynomials
-
-
-def char_poly(a: LaurentMatrix, b: LaurentMatrix) -> LaurentPoly:
-    """Characteristic polynomial det(lambda - A^{-1} B) of A^{-1} B, as a
-    Laurent polynomial in (LAM,) + A.vars.
-
-    It is computed as det(lambda A - B) / det A, so A is never inverted; det A
-    must be a unit monomial (ValueError otherwise)."""
-    if not a.rows == a.cols == b.rows == b.cols or a.vars != b.vars:
-        raise ValueError("char_poly needs square matrices of one shape and context")
-    vs = (LAMBDA,) + a.vars
-    lam = LaurentPoly.variable(vs, LAMBDA)
-    pencil = LaurentMatrix(
-        [
-            [lam * x.with_vars(vs) - y.with_vars(vs) for x, y in zip(ra, rb)]
-            for ra, rb in zip(a.entries, b.entries)
-        ]
-    )
-    return pencil.det() * unit_pow(a.det(), -1).with_vars(vs)
 
 
 # -- cyclotomic reduction (exact arithmetic at roots of unity) ---------------------

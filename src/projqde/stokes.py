@@ -30,9 +30,10 @@ reduced modulo Phi_4(W) after each step, for the exact rank-2 reduction, and
 complex numbers at any rank.  Stokes and Gram matrices and the identities
 between them are exact over R(GL_n), in E1..En with Ek = e_k(Z), where the
 Stokes bases have their line-bundle coordinates; the CLI expands them in
-Z1..Zn only to print them.  One Laplace pencil runs per sector, that of
-G^{-1} G^dag: with Stokes = Gram, the formal monodromy's characteristic
-polynomial follows from it (`gram_stokes_check`).
+Z1..Zn only to print them.  Stokes = Gram takes one matrix product per
+sector, as conjugating by the antidiagonal J reverses rows and columns, and
+one Laplace pencil, that of G^{-1} G^dag; the other identities between S1,
+S2 and G follow from these (`gram_stokes_check`).
 """
 
 from __future__ import annotations
@@ -180,14 +181,12 @@ def _conjugate_by_e(m: LaurentMatrix) -> LaurentMatrix:
 @dataclass
 class FormalSolution:
     """Formal gauge data at infinity: scalar exponent (s_1(z) + (n-1)/2),
-    eigenvalues u_m = n zeta^m, diagonal normalization, gauge coefficients
-    F_0..F_order, and the coefficients hat A_0..hat A_n of the equation they
-    solve."""
+    eigenvalues u_m = n zeta^m, gauge coefficients F_0..F_order, and the
+    coefficients hat A_0..hat A_n of the equation they solve."""
 
     n: int
     level: object
     u: list
-    cdiag: object
     coeffs: list
     ahat: list
 
@@ -249,7 +248,7 @@ def formal_reduce_exact_rank2(order: int) -> FormalSolution:
     gap_inv = [[1 / (u[b] - u[a]) if a != b else None for b in range(n)] for a in range(n)]
     lam = sym_poly("elementary", 1, n, prefix="z").with_vars(vs) + Fraction(n - 1, 2)
     coeffs = _gauge_recursion(ahat, u, gap_inv, lam, order, lambda p: reduce_root_of_unity(p, W, 2 * n))
-    return FormalSolution(n, lam, u, LaurentMatrix.identity(n, vs), coeffs, ahat)
+    return FormalSolution(n, lam, u, coeffs, ahat)
 
 
 def formal_reduce_numeric(n: int, z: Sequence[complex], order: int) -> FormalSolution:
@@ -263,7 +262,7 @@ def formal_reduce_numeric(n: int, z: Sequence[complex], order: int) -> FormalSol
     gap_inv = [[1 / (u[b] - u[a]) if a != b else None for b in range(n)] for a in range(n)]
     lam = sum(zc) + (n - 1) / 2
     coeffs = _gauge_recursion(ahat, u, gap_inv, lam, order, lambda x: x)
-    return FormalSolution(n, lam, u, np.eye(n, dtype=complex), coeffs, ahat)
+    return FormalSolution(n, lam, u, coeffs, ahat)
 
 
 def gauge_substitution_residual_orders(sol: FormalSolution, order: int) -> list[bool]:
@@ -368,39 +367,36 @@ def half_turn_is_left_dual(sector: SectorId, n: int) -> bool:
     return braid_act(beta, eps0).elements == eps1.elements
 
 
-def stokes_gram(sector: SectorId, n: int) -> LaurentMatrix:
-    """Gram matrix of the sector's basis; `gram_matrix` pairs it in its
-    sparsest window, as chi is invariant under a common twist."""
-    return gram_matrix(stokes_basis(sector, n))
+def _flip(m: LaurentMatrix) -> LaurentMatrix:
+    """J m J for the antidiagonal permutation J: m with rows and columns reversed."""
+    return LaurentMatrix([row[::-1] for row in m.entries[::-1]])
 
 
 def gram_stokes_check(sector: SectorId, n: int) -> dict:
-    """The central identities as products, for the Gram matrix G of the
-    sector's basis: S1 J G^dag J = 1, S2 = J G J and S2 S1^dag = 1, and the
-    Laplace pencil of the canonical operator G^{-1} G^dag (`dioph_residual`).
+    """The central identities for the Gram matrix G of the sector's basis
+    (`gram_matrix`, paired in its sparsest window): S1 J G^dag J = 1 and
+    S2 = J G J, J the antidiagonal permutation, and the Laplace pencil of the
+    canonical operator G^{-1} G^dag (`dioph_residual`).  J X J is X with its
+    rows and columns reversed, so the first is one product and the second none.
 
-    The formal monodromy c (S1 S2)^{-1}, c = (-1)^{n-1} e_n(Z), needs no pencil
-    of its own.  By the first two, S1 = J (G^dag)^{-1} J and S2 = J G J (J^2 = 1),
-    so c (S2 S1)^{-1} = J c G^dag G^{-1} J is conjugate to c G^{-1} G^dag, as
-    c (S1 S2)^{-1} is to c (S2 S1)^{-1}.  With det S1 = det G = 1 each pencil is
-    a characteristic polynomial, and that of the formal monodromy is
-    c^n chi(lambda / c), chi that of G^{-1} G^dag.  Its target is
-    prod_j (lambda - Z_j^n) = c^n prod_j (lambda / c - Z_j^n / c), and c is a
-    unit: its residual is c^n times the Diophantine one at lambda / c, zero
-    exactly when that one is."""
+    The other verdicts follow.  (J G^dag J)^dag = J G J, so by the first two
+    S2 S1^dag = J G J (J G J)^{-1} = 1.  And S1 = J (G^dag)^{-1} J, S2 = J G J
+    give c (S2 S1)^{-1} = J c G^dag G^{-1} J, c = (-1)^{n-1} e_n(Z), conjugate
+    to c G^{-1} G^dag as c (S1 S2)^{-1} is to c (S2 S1)^{-1}.  With
+    det S1 = det G = 1 the formal monodromy's characteristic polynomial is
+    c^n chi(lambda / c), chi that of G^{-1} G^dag, and its target is
+    prod_j (lambda - Z_j^n) = c^n prod_j (lambda / c - Z_j^n / c); c is a unit,
+    so its residual is c^n times the Diophantine one at lambda / c."""
     s1, s2 = stokes_matrices(sector, n)
-    g = stokes_gram(sector, n)
-    one = LaurentMatrix.identity(n, g.vars)
-    j = LaurentMatrix([[one[a, n - 1 - b] for b in range(n)] for a in range(n)])
-    ok_s1 = s1 * j * g.dagger() * j == one
-    ok_s2 = s2 == j * g * j
-    ok_pair = s2 * s1.dagger() == one
+    g = gram_matrix(stokes_basis(sector, n))
+    ok_s1 = s1 * _flip(g.dagger()) == LaurentMatrix.identity(n, g.vars)
+    ok_s2 = s2 == _flip(g)
     ok_char = dioph_residual(g, n).is_zero()
     return {
         "sector": sector,
         "stokes_is_dual_gram": ok_s1,
         "stokes_is_gram": ok_s2,
-        "dagger_pair": ok_pair,
+        "dagger_pair": ok_s1 and ok_s2,
         "char_poly": ok_char,
         "formal_monodromy": ok_s1 and ok_s2 and ok_char,
         "s1": s1,

@@ -1,10 +1,10 @@
 """Identities and helpers that several test files share and no program code
-calls: substitutions in Laurent polynomials, the adjugate inverse, the formal
-monodromy's own characteristic polynomial, the product of K-classes, their
-twist, exceptionality and Gram matrix taken in the window O(0)..O(n-1), the shift
-operators at the variables (q, z1..zn) and their normal form at infinity, the
-scalar quantum differential equation, and the large-|s| asymptotics of the
-residue series.
+calls: substitutions in Laurent polynomials, the adjugate inverse, the general
+characteristic polynomial det(lambda A - B) / det A and the formal monodromy's
+own, the product of K-classes, their twist, exceptionality and Gram matrix
+taken in the window O(0)..O(n-1), the shift operators at the variables
+(q, z1..zn) and their normal form at infinity, the scalar quantum differential
+equation, and the large-|s| asymptotics of the residue series.
 
 The tests that need the parameters symbolically take z1..zn as Laurent
 polynomials where a builder does not divide, and from sympy where it does:
@@ -38,7 +38,6 @@ from projqde.ring import (
     LaurentPoly,
     _norm_coeff,
     _pow_coeff,
-    char_poly,
     elementary_symmetric,
     unit_pow,
     zvars,
@@ -111,6 +110,24 @@ def cofactor_inverse(m: LaurentMatrix) -> LaurentMatrix:
             row.append((-cof if (i + j) % 2 else cof) * dinv)
         rows.append(row)
     return LaurentMatrix(rows)
+
+
+def char_poly(a: LaurentMatrix, b: LaurentMatrix) -> LaurentPoly:
+    """Characteristic polynomial det(lambda - A^{-1} B) of A^{-1} B, as a
+    Laurent polynomial in (LAM,) + A.vars: the general Laplace pencil
+    det(lambda A - B) / det A, so A is never inverted; det A must be a unit
+    monomial (ValueError otherwise)."""
+    if not a.rows == a.cols == b.rows == b.cols or a.vars != b.vars:
+        raise ValueError("char_poly needs square matrices of one shape and context")
+    vs = (LAMBDA,) + a.vars
+    lam = LaurentPoly.variable(vs, LAMBDA)
+    pencil = LaurentMatrix(
+        [
+            [lam * x.with_vars(vs) - y.with_vars(vs) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a.entries, b.entries)
+        ]
+    )
+    return pencil.det() * unit_pow(a.det(), -1).with_vars(vs)
 
 
 def formal_monodromy_char_residual(s1: LaurentMatrix, s2: LaurentMatrix, n: int) -> LaurentPoly:

@@ -19,7 +19,6 @@ from projqde.ring import (
     LAMBDA,
     LaurentMatrix,
     LaurentPoly,
-    char_poly,
     cyclotomic_polynomial,
     elementary_symmetric,
     evars,
@@ -28,9 +27,10 @@ from projqde.ring import (
     sym_poly,
     zvars,
 )
-from projqde.stokes import SectorId, _columns_by_tag, stokes_basis, stokes_gram, stokes_matrices
+from projqde.ktheory import gram_matrix
+from projqde.stokes import SectorId, _columns_by_tag, stokes_basis, stokes_matrices
 
-from identities import coefficient, cofactor_inverse, specialize, substitute_monomial
+from identities import char_poly, coefficient, cofactor_inverse, specialize, substitute_monomial
 
 V2 = zvars(2)
 V3 = zvars(3)
@@ -223,7 +223,7 @@ def _inverted_matrices(sector, n):
     and the sector's Gram matrix."""
     order = list(reversed(stokes_basis(sector, n).eigen_tags))
     a = [_columns_by_tag(stokes_basis(s, n), order, -(s.k + n - 1)) for s in (sector, sector.rotate_half(n))]
-    return (*a, stokes_matrices(sector, n)[1], stokes_gram(sector, n))
+    return (*a, stokes_matrices(sector, n)[1], gram_matrix(stokes_basis(sector, n)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

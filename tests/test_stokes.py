@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from projqde import ktheory, stokes
+from projqde import ktheory, ring, stokes
 from projqde.cohomology import NumericContext, cohom_vars
 from projqde.hypergeom import QSolution
 from projqde.ktheory import beilinson_basis, braid_act, braid_constants, dioph_residual, gram_matrix, to_z
@@ -43,13 +43,13 @@ from projqde.stokes import (
     stirling_value_checks,
     stokes_basis,
     stokes_matrices,
-    stokes_gram,
     stokes_normalization,
     stokes_trivial_at_unity,
 )
 
 from identities import (
     BranchContext,
+    char_poly,
     cofactor_inverse,
     drop_vars,
     formal_monodromy_char_residual,
@@ -234,7 +234,7 @@ def test_gauge_residual_rejects_perturbed_coefficients():
     for sol in (formal_reduce_exact_rank2(4), formal_reduce_numeric(3, (0.1, 0.37, -0.42), 4)):
         coeffs = list(sol.coeffs)
         coeffs[2] = coeffs[2] + coeffs[0] * Fraction(1, 10)
-        bad = FormalSolution(sol.n, sol.level, sol.u, sol.cdiag, coeffs, sol.ahat)
+        bad = FormalSolution(sol.n, sol.level, sol.u, coeffs, sol.ahat)
         assert gauge_substitution_residual_orders(bad, 4) == [True, True, False, False]
 
 
@@ -299,13 +299,13 @@ def test_stokes_matrices_triangular_and_gram(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_stokes_gram_on_the_twisted_basis_is_the_gram_matrix(n):
-    # stokes_gram pairs the basis in its sparsest window; chi is the same on
-    # its twist by X^-(k+n-1), paired here as stored, in O(0)..O(n-1)
+    # gram_matrix pairs the sector's basis in its sparsest window; chi is the
+    # same on its twist by X^-(k+n-1), paired here as stored, in O(0)..O(n-1)
     for kind in ("Vprime", "Vdprime"):
         for k in range(-n, n + 1) if n <= 5 else range(-2, 3):
             sector = SectorId(kind, k)
             els = [twist_by_expand(e, -(k + n - 1)) for e in stokes_basis(sector, n).elements]
-            assert stokes_gram(sector, n) == gram_in_window_zero(els), (n, kind, k)
+            assert gram_matrix(stokes_basis(sector, n)) == gram_in_window_zero(els), (n, kind, k)
 
 
 def _three_bases(sector, n):
@@ -422,11 +422,36 @@ def test_formal_monodromy_verdict_matches_its_own_pencil(n):
             assert rep["formal_monodromy"] and zero, (n, kind, k)
 
 
+def _verdicts_by_products(s1, s2, g):
+    """The three Stokes = Gram verdicts by products with J built as a matrix:
+    S1 J G^dag J = 1, S2 = J G J and S2 S1^dag = 1."""
+    n, one = g.rows, LaurentMatrix.identity(g.rows, g.vars)
+    j = LaurentMatrix([[one[a, n - 1 - b] for b in range(n)] for a in range(n)])
+    return {
+        "stokes_is_dual_gram": s1 * j * g.dagger() * j == one,
+        "stokes_is_gram": s2 == j * g * j,
+        "dagger_pair": s2 * s1.dagger() == one,
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stokes_gram_verdicts_match_products_with_j(n):
+    # gram_stokes_check reverses rows and columns in place of conjugating by J
+    # and reads dagger_pair off the other two; the oracle multiplies all three
+    for kind in ("Vprime", "Vdprime"):
+        for k in range(-2, 3):
+            rep = gram_stokes_check(SectorId(kind, k), n)
+            want = _verdicts_by_products(rep["s1"], rep["s2"], rep["gram"])
+            assert want == dict.fromkeys(want, True), (n, kind, k)
+            assert {key: rep[key] for key in want} == want, (n, kind, k)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("which, entry", [(0, (0, 1)), (1, (1, 0))])
 def test_formal_monodromy_fails_on_a_shifted_stokes_entry(n, which, entry, monkeypatch):
     # one entry of S1, then of S2, shifted within its triangle: the verdict and
-    # the oracle's residual both fail
+    # the oracle's residual both fail, and so do dagger_pair and the product it
+    # rests on, as the products with J say
     e1 = LaurentPoly.variable(evars(n), "E1")
     matrices = stokes.stokes_matrices
 
@@ -440,18 +465,47 @@ def test_formal_monodromy_fails_on_a_shifted_stokes_entry(n, which, entry, monke
         rep = gram_stokes_check(SectorId(kind, 0), n)
         assert not rep["formal_monodromy"], (n, kind)
         assert not formal_monodromy_char_residual(rep["s1"], rep["s2"], n).is_zero(), (n, kind)
+        assert not rep["dagger_pair"], (n, kind)
+        assert not rep[("stokes_is_dual_gram", "stokes_is_gram")[which]], (n, kind)
+        want = _verdicts_by_products(rep["s1"], rep["s2"], rep["gram"])
+        assert {key: rep[key] for key in want} == want, (n, kind)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_canonical_char_poly_is_the_general_pencil_at_g_and_its_dagger(n):
+    # the library's pencil on G alone against the tests' det(lambda A - B) / det A,
+    # on Beilinson and sector Gram matrices and on one with its corner shifted
+    e1 = LaurentPoly.variable(evars(n), "E1")
+    beilinson = gram_matrix(beilinson_basis(n))
+    grams = [beilinson, _shift_entry(beilinson, 0, n - 1, e1)]
+    grams += [gram_matrix(stokes_basis(SectorId(kind, k), n)) for kind, k in (("Vprime", 0), ("Vdprime", 1))]
+    for g in grams:
+        assert ktheory.canonical_char_poly(g) == char_poly(g, g.dagger())
+    assert not dioph_residual(grams[1], n).is_zero()
 
 
 def test_gram_stokes_check_runs_one_pencil(monkeypatch):
-    calls = []
-    pencil = ktheory.char_poly
-    monkeypatch.setattr(ktheory, "char_poly", lambda a, b: calls.append(a) or pencil(a, b))
-    assert not hasattr(stokes, "char_poly")
+    # one Laplace pencil and, past the Stokes matrices, one matrix product
+    pencils, products = [], []
+    pencil, product = ktheory.canonical_char_poly, LaurentMatrix.__mul__
+
+    def counted(a, b):
+        if isinstance(b, LaurentMatrix):
+            products.append(b)
+        return product(a, b)
+
+    monkeypatch.setattr(ktheory, "canonical_char_poly", lambda g: pencils.append(g) or pencil(g))
+    monkeypatch.setattr(LaurentMatrix, "__mul__", counted)
+    assert not hasattr(ring, "char_poly") and not hasattr(stokes, "char_poly")
     for n in (2, 3, 4):
         for kind in ("Vprime", "Vdprime"):
-            calls.clear()
-            assert gram_stokes_check(SectorId(kind, 1), n)["formal_monodromy"]
-            assert len(calls) == 1, (n, kind)
+            sector = SectorId(kind, 1)
+            s = stokes_matrices(sector, n)
+            monkeypatch.setattr(stokes, "stokes_matrices", lambda sector, n, s=s: s)
+            pencils.clear()
+            products.clear()
+            assert gram_stokes_check(sector, n)["formal_monodromy"]
+            assert (len(pencils), len(products)) == (1, 1), (n, kind)
 
 
 def test_stokes_entries_symmetric_in_parameters():
